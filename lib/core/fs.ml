@@ -48,6 +48,7 @@ type file_state = {
   mutable pending_allocs : int list; (* NVMM blocks allocated under the
                                         pending txn, for abort reclaim *)
   mutable writers : int; (* writes in flight (commit barrier) *)
+  mutable committing : bool; (* pending_txn's commit is in flight *)
 }
 
 (* One shard's DRAM-side hot state: its slice of the write buffer plus the
@@ -59,6 +60,7 @@ type shard_state = {
   pool : Buffer_pool.t;
   wb_wakeup : Condvar.t; (* this shard's writeback daemons sleep here *)
   free_cv : Condvar.t; (* foreground stalls for free buffer blocks *)
+  commit_cv : Condvar.t; (* waiters on an in-flight pending-txn commit *)
 }
 
 type t = {
@@ -113,6 +115,7 @@ let create ?(hcfg = Hconfig.default) ?(sync_mount = false) pmfs =
                   (config.Config.block_size / config.Config.cacheline_size);
             wb_wakeup = Condvar.create (Device.engine device);
             free_cv = Condvar.create (Device.engine device);
+            commit_cv = Condvar.create (Device.engine device);
           });
     files = Hashtbl.create 256;
     sync_mount;
@@ -133,6 +136,7 @@ let file_state t ino =
         pending_txn = None;
         pending_allocs = [];
         writers = 0;
+        committing = false;
       }
     in
     Hashtbl.replace t.files ino fs;
@@ -169,7 +173,16 @@ let charge_dram_read t cat bytes =
 (* The journal a file's pending transaction lives on: its home shard's. *)
 let log_of t fst = Pmfs.log_for t.pmfs ~ino:fst.f_ino
 
+(* Log.commit yields (flushes, fences), so a commit in flight must own the
+   pending transaction until it lands: nobody may log into it, commit it a
+   second time, or abort it (and free its blocks) meanwhile. *)
+let await_commit t fst =
+  while fst.committing do
+    Condvar.wait (shard_for t fst.f_ino).commit_cv
+  done
+
 let get_pending_txn t fst =
+  await_commit t fst;
   match fst.pending_txn with
   | Some txn -> txn
   | None ->
@@ -188,23 +201,31 @@ let get_pending_txn t fst =
    metadata of earlier lazy writes whose buffered data still references the
    allocated home blocks. *)
 let commit_pending t fst =
+  await_commit t fst;
   match fst.pending_txn with
   | None -> ()
   | Some txn ->
-    (try Log.commit (log_of t fst) txn
-     with e ->
-       if Log.txn_committed txn then begin
-         (* Durable, only the checkpoint tripped: safe to detach. *)
-         fst.pending_txn <- None;
-         fst.pending_allocs <- []
-       end;
-       raise e);
-    fst.pending_txn <- None;
-    fst.pending_allocs <- []
+    fst.committing <- true;
+    Fun.protect
+      ~finally:(fun () ->
+        fst.committing <- false;
+        ignore (Condvar.broadcast (shard_for t fst.f_ino).commit_cv))
+      (fun () ->
+        (try Log.commit (log_of t fst) txn
+         with e ->
+           if Log.txn_committed txn then begin
+             (* Durable, only the checkpoint tripped: safe to detach. *)
+             fst.pending_txn <- None;
+             fst.pending_allocs <- []
+           end;
+           raise e);
+        fst.pending_txn <- None;
+        fst.pending_allocs <- [])
 
 (* Commit if the ordered-mode invariant allows it right now. *)
 let maybe_commit t fst =
-  if fst.dirty_blocks = 0 && fst.writers = 0 then commit_pending t fst
+  if fst.dirty_blocks = 0 && fst.writers = 0 && not fst.committing then
+    commit_pending t fst
 
 (* Opportunistic commit from the writeback daemons and pool reclaim: a
    transient commit failure (injected journal fault, media error) must not
@@ -216,6 +237,7 @@ let try_commit t fst = try maybe_commit t fst with _ -> ()
 (* Abort the pending transaction and reclaim the NVMM blocks it had
    allocated (unlink of a never-synced file). *)
 let abort_pending t fst =
+  await_commit t fst;
   match fst.pending_txn with
   | None -> ()
   | Some txn ->

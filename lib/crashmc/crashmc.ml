@@ -135,13 +135,51 @@ type scenario_result = {
   sr_name : string;
   sr_expect_violation : bool;
   sr_states : int;  (** crash states captured *)
-  sr_images : int;  (** distinct crash images explored *)
-  sr_checked : int;  (** image verifications executed *)
+  sr_images : int;  (** distinct crash images explored and verified *)
   sr_recovery_states : int;
       (** crash states captured during recovery (nested) *)
   sr_recovery_images : int;  (** nested re-crash images verified *)
   sr_violations : (string * string) list;  (** (state label, message) *)
 }
+
+(* --- crash capture --- *)
+
+(* Arm [device]'s persistence recorder and call [f i] at every fence that
+   leaves undecided lines, [i] counting every fence from 0. The one place
+   crash capture hooks a device; the soaks use it too. *)
+let on_pending_fence device f =
+  Device.enable_recording device;
+  let fences = ref 0 in
+  Device.set_on_fence device (fun () ->
+      let i = !fences in
+      incr fences;
+      if Device.pending_choice_lines device > 0 then f i)
+
+(* Fence capture with adaptive thinning: [capture n] is pushed onto
+   [states] (newest first) at fence [n], counted from 1; when [budget]
+   states are held, every other one is dropped and the stride doubles, so
+   long runs still get evenly spread crash points. *)
+let capture_thinned device ~budget states capture =
+  let stride = ref 1 in
+  on_pending_fence device (fun i ->
+      let n = i + 1 in
+      if n mod !stride = 0 then begin
+        if List.length !states >= budget then begin
+          states := List.filteri (fun i _ -> i mod 2 = 0) !states;
+          stride := !stride * 2
+        end;
+        states := capture n :: !states
+      end)
+
+(* Candidate count per undecided line, in line order. *)
+let choice_counts (state : Device.crash_state) =
+  Array.of_list (List.map (fun (_, c) -> Array.length c) state.cs_choices)
+
+(* One crash image of [state], with a seeded candidate per undecided line
+   drawn in line order. *)
+let random_image rng state =
+  Device.materialize_crash_image state
+    ~choice:(Array.map (fun c -> Rng.int rng c) (choice_counts state))
 
 (* --- enumeration --- *)
 
@@ -172,18 +210,18 @@ let sampled_vectors rng counts ~samples =
   in
   extremes @ draw (max 0 (samples - 2)) []
 
-let vectors_for rng params (state : Device.crash_state) =
-  let counts =
-    Array.of_list (List.map (fun (_, c) -> Array.length c) state.cs_choices)
-  in
+(* Choice vectors to explore for [state]: all of them when at most [k]
+   lines are undecided and the space fits [cap] images, otherwise the two
+   extremes plus seeded samples, [samples] in all. *)
+let vectors_for rng ~k ~cap ~samples state =
+  let counts = choice_counts state in
   let n = Array.length counts in
-  let cap = params.max_images_per_state in
   let total =
     Array.fold_left (fun acc c -> if acc > cap then acc else acc * c) 1 counts
   in
   if n = 0 then [ [||] ]
-  else if n <= params.k_exhaustive && total <= cap then all_vectors counts
-  else sampled_vectors rng counts ~samples:params.samples_per_state
+  else if n <= k && total <= cap then all_vectors counts
+  else sampled_vectors rng counts ~samples
 
 (* Content key of one concrete image: the guaranteed medium plus the chosen
    candidate per undecided line. Images identical as byte strings get the
@@ -200,11 +238,27 @@ let image_key ~base_digest (state : Device.crash_state) vec =
     state.cs_choices;
   Digest.string (Buffer.contents b)
 
-(* Run [verify] on a materialised image in a fresh simulation. *)
-let verify_image scenario image expectations =
+(* Materialise every image of [state] among [vecs] not yet in [seen] and
+   hand it to [visit], as long as [more ()] holds. *)
+let iter_new_images ~seen ?(more = fun () -> true) state vecs visit =
+  let base_digest = Digest.bytes state.Device.cs_image in
+  List.iter
+    (fun vec ->
+      let key = image_key ~base_digest state vec in
+      if (not (Hashtbl.mem seen key)) && more () then begin
+        Hashtbl.replace seen key ();
+        visit (Device.materialize_crash_image state ~choice:vec)
+      end)
+    vecs
+
+(* Run [verify] on a materialised image in a fresh simulation; [arm] gets
+   the device before recovery starts. *)
+let verify_image ?(arm = ignore) scenario image expectations =
   let engine = Engine.create () in
-  let stats = Stats.create () in
-  let device = Device.of_snapshot engine stats scenario.config image in
+  let device =
+    Device.of_snapshot engine (Stats.create ()) scenario.config image
+  in
+  arm device;
   let out = ref [ "verification did not run" ] in
   Engine.spawn engine ~name:"crashmc-verify" (fun () ->
       out :=
@@ -226,120 +280,59 @@ let verify_image scenario image expectations =
    plus any nested ones (labelled), and the nested state/image counts.
    [budget] bounds the nested verifications across a whole scenario. *)
 let verify_image_recrash scenario params rng ~budget image expectations =
-  let engine = Engine.create () in
-  let stats = Stats.create () in
-  let device = Device.of_snapshot engine stats scenario.config image in
   let states = ref [] in
-  let nstates = ref 0 in
-  let fences = ref 0 in
-  let stride = ref 1 in
-  let on_fence () =
-    incr fences;
-    if !fences mod !stride = 0 && Device.pending_choice_lines device > 0
-    then begin
-      if !nstates >= params.recrash_states then begin
-        states := List.filteri (fun i _ -> i mod 2 = 0) !states;
-        nstates := List.length !states;
-        stride := !stride * 2
-      end;
-      states :=
-        Device.capture_crash_state
-          ~label:(Fmt.str "recovery-fence-%d" !fences)
-          device
-        :: !states;
-      incr nstates
-    end
+  let out =
+    verify_image scenario image expectations ~arm:(fun device ->
+        capture_thinned device ~budget:params.recrash_states states (fun n ->
+            Device.capture_crash_state
+              ~label:(Fmt.str "recovery-fence-%d" n)
+              device))
   in
-  Device.enable_recording device;
-  Device.set_on_fence device on_fence;
-  let out = ref [ "verification did not run" ] in
-  Engine.spawn engine ~name:"crashmc-verify" (fun () ->
-      out :=
-        (try scenario.verify device expectations
-         with e ->
-           [ Fmt.str "verify raised: %s" (Printexc.to_string e) ]));
-  (try Engine.run engine
-   with e -> out := [ Fmt.str "verify engine: %s" (Printexc.to_string e) ]);
-  let nested_violations = ref [] in
   let recovery_states = List.rev !states in
   let seen = Hashtbl.create 64 in
-  let nested = ref 0 in
+  let nested = ref [] in
   List.iter
     (fun (state : Device.crash_state) ->
-      let base_digest = Digest.bytes state.cs_image in
-      let counts =
-        Array.of_list
-          (List.map (fun (_, c) -> Array.length c) state.cs_choices)
-      in
-      let vecs =
-        if Array.length counts = 0 then [ [||] ]
-        else sampled_vectors rng counts ~samples:params.recrash_samples
-      in
-      List.iter
-        (fun vec ->
-          let key = image_key ~base_digest state vec in
-          if (not (Hashtbl.mem seen key)) && !budget > 0 then begin
-            Hashtbl.replace seen key ();
-            decr budget;
-            incr nested;
-            let nimage = Device.materialize_crash_image state ~choice:vec in
-            List.iter
-              (fun v ->
-                nested_violations :=
-                  Fmt.str "[recovery-recrash %s] %s" state.cs_label v
-                  :: !nested_violations)
+      (* k = 0: nested states are always sampled, never exhaustive. *)
+      iter_new_images ~seen
+        ~more:(fun () -> !budget > 0)
+        state
+        (vectors_for rng ~k:0 ~cap:0 ~samples:params.recrash_samples state)
+        (fun nimage ->
+          decr budget;
+          nested :=
+            List.map
+              (Fmt.str "[recovery-recrash %s] %s" state.cs_label)
               (verify_image scenario nimage expectations)
-          end)
-        vecs)
+            :: !nested))
     recovery_states;
-  (!out @ List.rev !nested_violations, List.length recovery_states, !nested)
+  ( out @ List.concat (List.rev !nested),
+    List.length recovery_states,
+    List.length !nested )
 
 (* --- scenario driver --- *)
 
 let run_scenario ?(params = default_params) scenario =
   let engine = Engine.create () in
-  let stats = Stats.create () in
-  let device = Device.create engine stats scenario.config in
+  let device = Device.create engine (Stats.create ()) scenario.config in
+  let expectations : (string, expectation) Hashtbl.t = Hashtbl.create 16 in
+  let capture label =
+    ( Device.capture_crash_state ~label device,
+      Hashtbl.fold (fun k v acc -> (k, v) :: acc) expectations []
+      |> List.sort compare )
+  in
   (* captured (state, expectations-at-capture), newest first *)
   let states = ref [] in
-  let nstates = ref 0 in
-  let expectations : (string, expectation) Hashtbl.t = Hashtbl.create 16 in
-  let snapshot_expectations () =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) expectations []
-    |> List.sort compare
-  in
-  let capture label =
-    states :=
-      (Device.capture_crash_state ~label device, snapshot_expectations ())
-      :: !states;
-    incr nstates
-  in
-  (* Automatic capture at every fence, with adaptive thinning: when the
-     budget fills, keep every other state and double the stride, so long
-     runs still get evenly spread crash points. *)
-  let fences = ref 0 in
-  let stride = ref 1 in
-  let on_fence () =
-    incr fences;
-    if !fences mod !stride = 0 && Device.pending_choice_lines device > 0
-    then begin
-      if !nstates >= params.max_states then begin
-        states := List.filteri (fun i _ -> i mod 2 = 0) !states;
-        nstates := List.length !states;
-        stride := !stride * 2
-      end;
-      capture (Fmt.str "fence-%d" !fences)
-    end
-  in
   let started = ref false in
   let ctl =
     {
       start =
         (fun () ->
           started := true;
-          Device.enable_recording device;
-          Device.set_on_fence device on_fence);
-      checkpoint = (fun label -> if !started then capture label);
+          capture_thinned device ~budget:params.max_states states (fun n ->
+              capture (Fmt.str "fence-%d" n)));
+      checkpoint =
+        (fun label -> if !started then states := capture label :: !states);
       expect = (fun path e -> Hashtbl.replace expectations path e);
       retract = (fun path -> Hashtbl.remove expectations path);
     }
@@ -347,52 +340,44 @@ let run_scenario ?(params = default_params) scenario =
   Engine.spawn engine ~name:("crashmc-" ^ scenario.name) (fun () ->
       scenario.run device ctl);
   Engine.run engine;
-  capture "final";
-  let ordered = List.rev !states in
+  let ordered = List.rev (capture "final" :: !states) in
   (* Enumerate and verify. *)
   let rng = Rng.create ~seed:params.seed in
   let seen = Hashtbl.create 1024 in
   let images = ref 0 in
-  let checked = ref 0 in
   let violations = ref [] in
   let recrash_budget = ref params.recrash_checks in
   let recovery_states = ref 0 in
   let recovery_images = ref 0 in
   List.iter
     (fun ((state : Device.crash_state), exps) ->
-      let base_digest = Digest.bytes state.cs_image in
-      List.iter
-        (fun vec ->
-          let key = image_key ~base_digest state vec in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.replace seen key ();
-            incr images;
-            incr checked;
-            let image = Device.materialize_crash_image state ~choice:vec in
-            let vs =
-              if !recrash_budget > 0 then begin
-                let vs, rstates, rimages =
-                  verify_image_recrash scenario params rng
-                    ~budget:recrash_budget image exps
-                in
-                recovery_states := !recovery_states + rstates;
-                recovery_images := !recovery_images + rimages;
-                vs
-              end
-              else verify_image scenario image exps
-            in
-            List.iter
-              (fun v -> violations := (state.cs_label, v) :: !violations)
+      iter_new_images ~seen state
+        (vectors_for rng ~k:params.k_exhaustive
+           ~cap:params.max_images_per_state ~samples:params.samples_per_state
+           state)
+        (fun image ->
+          incr images;
+          let vs =
+            if !recrash_budget > 0 then begin
+              let vs, rstates, rimages =
+                verify_image_recrash scenario params rng
+                  ~budget:recrash_budget image exps
+              in
+              recovery_states := !recovery_states + rstates;
+              recovery_images := !recovery_images + rimages;
               vs
-          end)
-        (vectors_for rng params state))
+            end
+            else verify_image scenario image exps
+          in
+          List.iter
+            (fun v -> violations := (state.cs_label, v) :: !violations)
+            vs))
     ordered;
   {
     sr_name = scenario.name;
     sr_expect_violation = scenario.expect_violation;
     sr_states = List.length ordered;
     sr_images = !images;
-    sr_checked = !checked;
     sr_recovery_states = !recovery_states;
     sr_recovery_images = !recovery_images;
     sr_violations = List.rev !violations;
@@ -405,17 +390,9 @@ type report = { params : params; results : scenario_result list }
 let run_suite ?(params = default_params) scenarios =
   { params; results = List.map (run_scenario ~params) scenarios }
 
-let total_images report =
-  List.fold_left (fun acc r -> acc + r.sr_images) 0 report.results
-
-let total_states report =
-  List.fold_left (fun acc r -> acc + r.sr_states) 0 report.results
-
-let total_recovery_states report =
-  List.fold_left (fun acc r -> acc + r.sr_recovery_states) 0 report.results
-
-let total_recovery_images report =
-  List.fold_left (fun acc r -> acc + r.sr_recovery_images) 0 report.results
+(* A per-scenario count summed over the whole report. *)
+let total count report =
+  List.fold_left (fun acc r -> acc + count r) 0 report.results
 
 (* Violations in scenarios that are supposed to be correct. *)
 let unexpected_violations report =
@@ -462,9 +439,10 @@ let pp_report ppf report =
   Fmt.pf ppf
     "total: %d crash states, %d distinct crash images, %d recovery states, \
      %d re-crash images, %s@]"
-    (total_states report) (total_images report)
-    (total_recovery_states report)
-    (total_recovery_images report)
+    (total (fun r -> r.sr_states) report)
+    (total (fun r -> r.sr_images) report)
+    (total (fun r -> r.sr_recovery_states) report)
+    (total (fun r -> r.sr_recovery_images) report)
     (if ok report then "all checks passed"
      else
        Fmt.str "%d unexpected violation(s), %d missed fixture(s)"

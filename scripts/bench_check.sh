@@ -64,11 +64,11 @@ fi
 # Threshold gate: hold the fresh baseline to the committed artifact. Any
 # core op class (op.read / op.write / op.open) whose p50 or p99 grew by
 # more than 10% over the committed BENCH_HINFS.json in any shared
-# experiment is a perf regression. Experiments present on only one side
-# (new cells, retired cells) are reported but do not gate.
+# experiment is a perf regression. A committed cell, op histogram or
+# quantile missing from the fresh run fails too; new cells do not gate.
 if [ -f BENCH_HINFS.json ]; then
     if ! python3 scripts/bench_compare.py BENCH_HINFS.json "$out1"; then
-        echo "bench_check FAIL: latency regression vs committed baseline" >&2
+        echo "bench_check FAIL: latency regression or missing data vs committed baseline" >&2
         fail=1
     fi
 else

@@ -8,9 +8,12 @@ p50 and p99 of the core latency classes: the syscall op classes for
 workload cells, and the request classes (req.*) for the serving-layer
 client-sweep cells (name starting with "serve"). A fresh value more
 than THRESHOLD above the committed one is a regression and fails the
-gate (exit 1). Improvements and sub-threshold noise pass silently;
-experiments present on only one side are listed but do not gate, so
-adding a new bench cell never trips the check.
+gate (exit 1). Improvements and sub-threshold noise pass silently.
+
+The gate cannot be escaped by dropping data: a committed cell missing
+from the fresh artifact fails it, and so does a gated histogram or
+quantile present on one side only. A new cell (fresh only) is listed
+but does not gate, so adding a bench cell never trips the check.
 """
 import json
 import sys
@@ -50,12 +53,19 @@ def main():
         for op in ops_for(key[0]):
             old = committed[key].get(op)
             new = fresh[key].get(op)
+            if not old and not new:
+                continue
             if not old or not new:
+                regressions.append(
+                    "%s/%s %s: histogram present only in the %s artifact"
+                    % (key[0], key[1], op, "fresh" if new else "committed"))
                 continue
             for q in QUANTILES:
-                if q not in old or q not in new:
-                    continue
-                if new[q] > old[q] * (1.0 + THRESHOLD):
+                if (q in old) != (q in new):
+                    regressions.append(
+                        "%s/%s %s %s: quantile present on one side only"
+                        % (key[0], key[1], op, q))
+                elif q in old and new[q] > old[q] * (1.0 + THRESHOLD):
                     regressions.append(
                         "%s/%s %s %s: %d -> %d ns (+%.1f%%, limit +%.0f%%)"
                         % (key[0], key[1], op, q, old[q], new[q],
@@ -65,8 +75,7 @@ def main():
     for key in sorted(set(fresh) - set(committed)):
         print("bench_compare: new cell %s/%s (not gated)" % key)
     for key in sorted(set(committed) - set(fresh)):
-        print("bench_compare: cell %s/%s gone from fresh baseline "
-              "(not gated)" % key)
+        regressions.append("cell %s/%s gone from fresh baseline" % key)
 
     if regressions:
         for r in regressions:

@@ -39,14 +39,14 @@ module Health = Hinfs_pmfs.Health
 module Layout = Hinfs_pmfs.Layout
 module Errno = Hinfs_vfs.Errno
 module Fsck = Hinfs_fsck.Fsck
-module Scrub = Hinfs_fsck.Scrub
 module Repair = Hinfs_fsck.Repair
 module Chaos = Hinfs_harness.Chaos
+module Crashmc = Hinfs_crashmc.Crashmc
+module Soak = Testkit.Soak
 
-let seed =
-  match Sys.getenv_opt "SOAK_SEED" with
-  | Some s -> Int64.of_string s
-  | None -> 7777L
+let soak = Soak.create ~default_seed:7777L "chaos-soak"
+let seed = soak.seed
+let fail fmt = Soak.fail soak fmt
 
 let shards = 4
 let victim = 1
@@ -62,11 +62,6 @@ let corrupt_at = 12_000_000
 let burst_gap = 1_000_000
 let readmit_bound_ns = 10_000_000L
 let capture_after = Int64.of_int (corrupt_at + 3_000_000)
-
-let failures = ref []
-
-let fail fmt =
-  Fmt.kstr (fun s -> failures := Fmt.str "[seed %Ld] %s" seed s :: !failures) fmt
 
 (* Oracle: per shard, per file, the content of the last successful
    synchronous write. Reads that return data must match it — under
@@ -131,9 +126,7 @@ let verify_crash_image engine ~oracle ~racing image =
    repair daemon. Baseline (chaos=false) measures per-shard throughput
    with no fault model attached. *)
 let run_cell ~chaos () =
-  let engine = Engine.create () in
-  let result = ref None in
-  Engine.spawn engine ~name:"chaos-cell" (fun () ->
+  Soak.run soak (fun engine ->
       let stats = Stats.create () in
       let d = Device.create engine stats config in
       let fs = Pmfs.mkfs_and_mount d ~journal_blocks:32 ~shards () in
@@ -187,13 +180,11 @@ let run_cell ~chaos () =
          first pending-choice fence after the fault window opens — repair
          writes are recorder-visible, so the image is post-fault state. *)
       let captured = ref None in
-      if chaos then begin
-        Device.enable_recording d;
-        Device.set_on_fence d (fun () ->
+      if chaos then
+        Crashmc.on_pending_fence d (fun _ ->
             if
               !captured = None
               && Int64.compare (Engine.now engine) capture_after >= 0
-              && Device.pending_choice_lines d > 0
             then begin
               let osnap =
                 Array.mapi
@@ -215,8 +206,7 @@ let run_cell ~chaos () =
                   ( Device.capture_crash_state ~label:"chaos-fence" d,
                     osnap,
                     racing )
-            end)
-      end;
+            end);
       let deadline = window_ns in
       let worker s =
         let rng = Rng.create ~seed:(Int64.add seed (Int64.of_int (s + 1))) in
@@ -296,34 +286,25 @@ let run_cell ~chaos () =
       (match !captured with
       | None -> ()
       | Some (state, osnap, racing) ->
-        let counts =
-          Array.of_list
-            (List.map (fun (_, c) -> Array.length c) state.Device.cs_choices)
-        in
         let crng = Rng.create ~seed:(Int64.add seed 99L) in
-        let vec = Array.map (fun c -> Rng.int crng c) counts in
-        let image = Device.materialize_crash_image state ~choice:vec in
-        verify_crash_image engine ~oracle:osnap ~racing image);
+        verify_crash_image engine ~oracle:osnap ~racing
+          (Crashmc.random_image crng state));
       Pmfs.unmount fs;
-      result :=
-        Some
-          {
-            o_ops = ops;
-            o_blocked = !blocked;
-            o_retries = Stats.media_retries stats;
-            o_quarantines = Health.quarantines health;
-            o_readmits = Health.readmits health;
-            o_readmit_lag = readmit_lag;
-            o_digest = Digest.bytes (Device.snapshot d);
-            o_crash_checked = !captured <> None;
-          });
-  Engine.run engine;
-  Option.get !result
+      {
+        o_ops = ops;
+        o_blocked = !blocked;
+        o_retries = Stats.media_retries stats;
+        o_quarantines = Health.quarantines health;
+        o_readmits = Health.readmits health;
+        o_readmit_lag = readmit_lag;
+        o_digest = Digest.bytes (Device.snapshot d);
+        o_crash_checked = !captured <> None;
+      })
 
 let () =
   let base = run_cell ~chaos:false () in
-  let c1 = run_cell ~chaos:true () in
-  let c2 = run_cell ~chaos:true () in
+  (* Determinism: same seed, same schedule, same everything. *)
+  let c1 = Soak.deterministic soak (run_cell ~chaos:true) in
   Array.iteri
     (fun s n ->
       Fmt.pr "shard %d: %d ops baseline, %d ops under chaos%s@." s
@@ -358,10 +339,4 @@ let () =
     fail "no crash image captured in the fault window";
   if base.o_quarantines <> 0 || base.o_readmits <> 0 then
     fail "baseline cell saw health transitions without faults";
-  (* Determinism: same seed, same schedule, same everything. *)
-  if c1 <> c2 then fail "chaos cell is not deterministic for seed %Ld" seed;
-  match !failures with
-  | [] -> Fmt.pr "chaos-soak OK@."
-  | fs ->
-    List.iter (Fmt.epr "chaos-soak FAIL: %s@.") (List.rev fs);
-    exit 1
+  Soak.finish soak

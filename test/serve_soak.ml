@@ -19,7 +19,6 @@
    Wired into `dune runtest` via the serve-soak alias; also runnable
    directly: dune exec test/serve_soak.exe *)
 
-module Engine = Hinfs_sim.Engine
 module Proc = Hinfs_sim.Proc
 module Condvar = Hinfs_sim.Condvar
 module Rng = Hinfs_sim.Rng
@@ -33,11 +32,12 @@ module Errno = Hinfs_vfs.Errno
 module Fsck = Hinfs_fsck.Fsck
 module Wire = Hinfs_server.Wire
 module Server = Hinfs_server.Server
+module Crashmc = Hinfs_crashmc.Crashmc
+module Soak = Testkit.Soak
 
-let seed =
-  match Sys.getenv_opt "SOAK_SEED" with
-  | Some s -> Int64.of_string s
-  | None -> 4242L
+let soak = Soak.create ~default_seed:4242L "serve-soak"
+let seed = soak.seed
+let fail fmt = Soak.fail soak fmt
 
 let shards = 4
 let ndirs = 6
@@ -47,11 +47,6 @@ let rounds = 4
 let ops_per_client = 24
 let chunk = 1024
 let config = { Config.default with Config.nvmm_size = 8 * 1024 * 1024 }
-
-let failures = ref []
-
-let fail fmt =
-  Fmt.kstr (fun s -> failures := Fmt.str "[seed %Ld] %s" seed s :: !failures) fmt
 
 let own_path ci = Fmt.str "/d%d/own%d" (ci mod ndirs) ci
 let scratch_path ci = Fmt.str "/d%d/scr%d" (ci mod ndirs) ci
@@ -114,9 +109,8 @@ type round_outcome = {
 }
 
 let run_soak () =
-  let engine = Engine.create () in
-  let outcomes = ref [] in
-  Engine.spawn engine ~name:"serve-soak" (fun () ->
+  Soak.run soak (fun engine ->
+      let outcomes = ref [] in
       let stats = Stats.create () in
       let d = Device.create engine stats config in
       let fs = Pmfs.mkfs_and_mount d ~journal_blocks:32 ~shards () in
@@ -226,21 +220,12 @@ let run_soak () =
         done
       in
       for round = 1 to rounds do
-        Device.enable_recording d;
         let target = Rng.int rng 300 in
-        let fences = ref 0 in
-        let captured = ref None in
-        let osnap = ref None in
-        Device.set_on_fence d (fun () ->
-            if !fences <= target && Device.pending_choice_lines d > 0 then begin
-              captured :=
-                Some
-                  (Device.capture_crash_state
-                     ~label:(Fmt.str "serve-round-%d-fence-%d" round !fences)
-                     d);
-              osnap := Some (copy_oracle oracle, !fences)
-            end;
-            incr fences);
+        let captured =
+          Soak.crash_point d ~target
+            ~label:(Fmt.str "serve-round-%d-fence-%d" round)
+            (fun fence -> (copy_oracle oracle, fence))
+        in
         let ops0 = !total_ops in
         let done_cv = Condvar.create engine in
         let remaining = ref nclients in
@@ -259,16 +244,10 @@ let run_soak () =
         if !remaining > 0 then Condvar.wait done_cv;
         Device.disable_recording d;
         let image, fence, oimg =
-          match (!captured, !osnap) with
-          | Some state, Some (oimg, fence) ->
-            let vec =
-              Array.of_list
-                (List.map
-                   (fun (_, c) -> Rng.int rng (Array.length c))
-                   state.Device.cs_choices)
-            in
-            (Device.materialize_crash_image state ~choice:vec, Some fence, oimg)
-          | _ -> (Device.snapshot d, None, copy_oracle oracle)
+          match !captured with
+          | Some (state, (oimg, fence)) ->
+            (Crashmc.random_image rng state, Some fence, oimg)
+          | None -> (Device.snapshot d, None, copy_oracle oracle)
         in
         let durable =
           Hashtbl.fold (fun _ s n -> if s = Durable then n + 1 else n) oimg 0
@@ -298,12 +277,11 @@ let run_soak () =
         fail "no captured oracle held durable blocks (vacuous soak)";
       let freport = Fsck.check_pmfs fs in
       if not (Fsck.ok freport) then
-        fail "live mount fails fsck: %a" Fsck.pp_report freport);
-  Engine.run engine;
-  List.rev !outcomes
+        fail "live mount fails fsck: %a" Fsck.pp_report freport;
+      List.rev !outcomes)
 
 let () =
-  let o1 = run_soak () in
+  let o1 = Soak.deterministic soak run_soak in
   List.iteri
     (fun i r ->
       let at =
@@ -314,10 +292,4 @@ let () =
       Fmt.pr "round %d: %d served ops, crash at %s, %d durable blocks checked@."
         (i + 1) r.r_ops at r.r_durable)
     o1;
-  let o2 = run_soak () in
-  if o1 <> o2 then fail "serve soak is not deterministic for seed %Ld" seed;
-  match !failures with
-  | [] -> Fmt.pr "serve-soak OK@."
-  | fs ->
-    List.iter (Fmt.epr "serve-soak FAIL: %s@.") (List.rev fs);
-    exit 1
+  Soak.finish soak

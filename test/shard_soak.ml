@@ -16,30 +16,27 @@
    shards, commits a multi-shard sync_all through the epoch barrier, and
    remounts intact.
 
-   Both parts run twice with the same seed and must reproduce bit for bit.
+   Part 1 runs twice with the same seed and must reproduce bit for bit.
    Wired into `dune runtest` through the shard-soak alias; also runnable
    directly: dune exec test/shard_soak.exe *)
 
-module Engine = Hinfs_sim.Engine
 module Rng = Hinfs_sim.Rng
 module Stats = Hinfs_stats.Stats
 module Config = Hinfs_nvmm.Config
 module Device = Hinfs_nvmm.Device
 module Pmfs = Hinfs_pmfs.Pmfs
 module Layout = Hinfs_pmfs.Layout
-module Log = Hinfs_journal.Cacheline_log
 module Epoch = Hinfs_journal.Epoch
-module Errno = Hinfs_vfs.Errno
 module Fsck = Hinfs_fsck.Fsck
 module Fs = Hinfs.Fs
 module Hconfig = Hinfs.Hconfig
 module Buffer_pool = Hinfs.Buffer_pool
+module Crashmc = Hinfs_crashmc.Crashmc
+module Soak = Testkit.Soak
 
-let seed =
-  match Sys.getenv_opt "SOAK_SEED" with
-  | Some s -> Int64.of_string s
-  | None -> 4242L
-
+let soak = Soak.create ~default_seed:4242L "shard-soak"
+let seed = soak.seed
+let fail fmt = Soak.fail soak fmt
 let shards = 4
 let ndirs = 6
 let rounds = 5
@@ -48,11 +45,6 @@ let max_files = 24
 let chunk_max = 4096
 let root = Layout.root_ino
 let config = { Config.default with Config.nvmm_size = 8 * 1024 * 1024 }
-
-let failures = ref []
-
-let fail fmt =
-  Fmt.kstr (fun s -> failures := Fmt.str "[seed %Ld] %s" seed s :: !failures) fmt
 
 (* Oracle key: (directory index, name). Content is what the last
    successful synchronous write left there. *)
@@ -139,9 +131,8 @@ type round_outcome = {
 }
 
 let run_pmfs_soak () =
-  let engine = Engine.create () in
-  let outcomes = ref [] in
-  Engine.spawn engine ~name:"shard-soak" (fun () ->
+  Soak.run soak (fun engine ->
+      let outcomes = ref [] in
       let stats = Stats.create () in
       let d = Device.create engine stats config in
       let fs = Pmfs.mkfs_and_mount d ~journal_blocks:32 ~shards () in
@@ -244,21 +235,12 @@ let run_pmfs_soak () =
           end
       in
       for round = 1 to rounds do
-        Device.enable_recording d;
         let target = Rng.int rng 400 in
-        let fences = ref 0 in
-        let captured = ref None in
-        let meta = ref None in
-        Device.set_on_fence d (fun () ->
-            if !fences <= target && Device.pending_choice_lines d > 0 then begin
-              captured :=
-                Some
-                  (Device.capture_crash_state
-                     ~label:(Fmt.str "shard-round-%d-fence-%d" round !fences)
-                     d);
-              meta := Some (copy_oracle oracle, !in_flight, !fences)
-            end;
-            incr fences);
+        let captured =
+          Soak.crash_point d ~target
+            ~label:(Fmt.str "shard-round-%d-fence-%d" round)
+            (fun fence -> (copy_oracle oracle, !in_flight, fence))
+        in
         let ops0 = !ops and ren0 = !renames in
         for _ = 1 to ops_per_round do
           (match Rng.int rng 10 with
@@ -271,16 +253,10 @@ let run_pmfs_soak () =
         done;
         Device.disable_recording d;
         let image, fence, osnap, racing =
-          match (!captured, !meta) with
-          | Some state, Some (osnap, racing, fence) ->
-            let counts =
-              Array.of_list
-                (List.map (fun (_, c) -> Array.length c) state.Device.cs_choices)
-            in
-            let vec = Array.map (fun c -> Rng.int rng c) counts in
-            (Device.materialize_crash_image state ~choice:vec, Some fence,
-             osnap, racing)
-          | _ -> (Device.snapshot d, None, copy_oracle oracle, Idle)
+          match !captured with
+          | Some (state, (osnap, racing, fence)) ->
+            (Crashmc.random_image rng state, Some fence, osnap, racing)
+          | None -> (Device.snapshot d, None, copy_oracle oracle, Idle)
         in
         let label = Fmt.str "round-%d" round in
         let rolled_back =
@@ -309,16 +285,13 @@ let run_pmfs_soak () =
         fail "live mount fails fsck: %a" Fsck.pp_report freport;
       if freport.Fsck.leaked_blocks > 0 || freport.Fsck.leaked_inodes > 0 then
         fail "live mount leaks: %d blocks, %d inodes"
-          freport.Fsck.leaked_blocks freport.Fsck.leaked_inodes);
-  Engine.run engine;
-  List.rev !outcomes
+          freport.Fsck.leaked_blocks freport.Fsck.leaked_inodes;
+      List.rev !outcomes)
 
 (* --- part 2: HiNFS multi-shard smoke --- *)
 
 let run_hinfs_smoke () =
-  let engine = Engine.create () in
-  let summary = ref "" in
-  Engine.spawn engine ~name:"hinfs-shards" (fun () ->
+  Soak.run soak (fun engine ->
       let stats = Stats.create () in
       let d = Device.create engine stats config in
       let hcfg =
@@ -375,15 +348,12 @@ let run_hinfs_smoke () =
       let freport = Fsck.check_pmfs pmfs2 in
       if not (Fsck.ok freport) then
         fail "HiNFS remount fails fsck: %a" Fsck.pp_report freport;
-      summary :=
-        Fmt.str "%d files across %d dirs, %d shard pools used, %d epoch commit(s)"
-          (Array.length files) ndirs !pools_used
-          (Epoch.commits (Pmfs.epoch pmfs)));
-  Engine.run engine;
-  !summary
+      Fmt.str "%d files across %d dirs, %d shard pools used, %d epoch commit(s)"
+        (Array.length files) ndirs !pools_used
+        (Epoch.commits (Pmfs.epoch pmfs)))
 
 let () =
-  let o1 = run_pmfs_soak () in
+  let o1 = Soak.deterministic soak run_pmfs_soak in
   List.iteri
     (fun i r ->
       let at =
@@ -397,10 +367,4 @@ let () =
     o1;
   let smoke = run_hinfs_smoke () in
   Fmt.pr "hinfs multi-shard: %s@." smoke;
-  let o2 = run_pmfs_soak () in
-  if o1 <> o2 then fail "shard soak is not deterministic for seed %Ld" seed;
-  match !failures with
-  | [] -> Fmt.pr "shard-soak OK@."
-  | fs ->
-    List.iter (Fmt.epr "shard-soak FAIL: %s@.") (List.rev fs);
-    exit 1
+  Soak.finish soak

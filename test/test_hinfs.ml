@@ -591,6 +591,49 @@ let test_concurrent_writers_shared_small_pool () =
       Proc.delay 60_000_000_000L;
       H.unmount fs)
 
+(* The writeback daemon commits a file's pending transaction once its
+   dirty data is flushed, and Log.commit yields (flushes, fences). A
+   foreground process touching the file in that window — an extending
+   lazy write that needs the pending transaction, or an unlink that
+   aborts it — must wait for the commit to land, not log into or abort a
+   half-committed transaction. The racer's start is swept across the
+   daemon's commit so that some starts land inside it. *)
+let test_commit_owns_pending_txn () =
+  let hcfg =
+    {
+      Testkit.small_hcfg with
+      Hconfig.age_flush_ns = 1_000_000L;
+      flush_interval_ns = 1_000_000L;
+    }
+  in
+  for step = 0 to 40 do
+    List.iter
+      (fun unlink ->
+        Testkit.run_sim (fun engine ->
+            let d, fs = Testkit.make_hinfs ~hcfg ~daemons:true engine in
+            let ino = Pmfs.create_file (H.pmfs fs) ~dir:root "f" in
+            let data = Testkit.pattern_bytes ~seed:7 4096 in
+            let lazy_write off =
+              ignore
+                (H.write fs ~ino ~off ~src:data ~src_off:0 ~len:4096
+                   ~sync:false)
+            in
+            lazy_write 0;
+            while H.dirty_buffered_blocks fs > 0 do
+              Proc.delay 100L
+            done;
+            Proc.delay (Int64.of_int (step * 100));
+            if unlink then H.unlink fs ~dir:root "f" else lazy_write 4096;
+            H.unmount fs;
+            let fs2 = Pmfs.mount d () in
+            check_int "clean unmount" 0 (Pmfs.recovered_txns fs2);
+            check_int "size" (if unlink then 0 else 8192)
+              (match Pmfs.lookup fs2 ~dir:root "f" with
+              | Some ino -> Pmfs.inode_size fs2 ino
+              | None -> 0)))
+      [ false; true ]
+  done
+
 (* --- randomized model test --- *)
 
 let hinfs_model_prop =
@@ -852,6 +895,8 @@ let () =
         [
           Alcotest.test_case "writers share small pool" `Quick
             test_concurrent_writers_shared_small_pool;
+          Alcotest.test_case "commit owns its pending txn" `Quick
+            test_commit_owns_pending_txn;
         ]
         @ Testkit.qcheck_cases [ hinfs_model_prop; hinfs_crash_prop ] );
     ]

@@ -7,14 +7,17 @@ module Stats = Hinfs_stats.Stats
 module Config = Hinfs_nvmm.Config
 module Device = Hinfs_nvmm.Device
 
-(* Run [f] inside a fresh simulation; the engine runs until the process
-   tree finishes, and [f]'s result is returned. *)
-let run_sim f =
-  let engine = Engine.create () in
+(* Spawn [f] as the root process of [engine] and run the engine until the
+   process tree finishes; [None] if [f] never returned. *)
+let run_root ?(name = "test") engine f =
   let result = ref None in
-  Engine.spawn engine ~name:"test" (fun () -> result := Some (f engine));
+  Engine.spawn engine ~name (fun () -> result := Some (f engine));
   Engine.run engine;
-  match !result with
+  !result
+
+(* Run [f] inside a fresh simulation and return its result. *)
+let run_sim f =
+  match run_root (Engine.create ()) f with
   | Some r -> r
   | None -> Alcotest.fail "simulation did not complete the test process"
 
@@ -60,3 +63,112 @@ let check_bytes msg expected actual =
 
 (* Convert qcheck tests to alcotest cases. *)
 let qcheck_cases tests = List.map QCheck_alcotest.to_alcotest tests
+
+(* --- soak kit ---
+
+   The skeleton the soak and crashmc executables share: the seed,
+   seed-prefixed failures, simulation runs under the observability sink,
+   the run-twice determinism check and the final verdict. A soak keeps
+   only its workload, its oracle and its non-vacuity checks. *)
+module Soak = struct
+  module Obs = Hinfs_obs.Obs
+  module Crashmc = Hinfs_crashmc.Crashmc
+
+  type t = { name : string; seed : int64; mutable failures : string list }
+
+  (* SOAK_SEED=<int64> overrides [default_seed], to reproduce or widen a
+     failure; every failure message carries the seed that produced it. *)
+  let create ~default_seed name =
+    let seed =
+      match Sys.getenv_opt "SOAK_SEED" with
+      | Some s -> Int64.of_string s
+      | None -> default_seed
+    in
+    { name; seed; failures = [] }
+
+  let fail t fmt =
+    Fmt.kstr
+      (fun s -> t.failures <- Fmt.str "[seed %Ld] %s" t.seed s :: t.failures)
+      fmt
+
+  (* Run [f] inside a fresh simulation and return its result. With [obs]
+     the observability sink is installed for the run, and once the engine
+     drains every span must have closed, in order: spans opened on a
+     failure path must unwind too. *)
+  let run ?(obs = false) t f =
+    let engine = Engine.create () in
+    let sink = if obs then Some (Obs.create engine) else None in
+    Option.iter Obs.install sink;
+    let result = run_root ~name:t.name engine f in
+    Option.iter
+      (fun o ->
+        if Obs.open_spans o > 0 || Obs.mismatches o > 0 then
+          fail t "span accounting broken (%d open, %d mismatched)"
+            (Obs.open_spans o) (Obs.mismatches o);
+        Obs.uninstall ())
+      sink;
+    match result with
+    | Some r -> r
+    | None ->
+      Fmt.failwith "%s: simulation did not complete (seed %Ld)" t.name t.seed
+
+  (* Arm [device]'s recorder for a seeded crash point: keep the newest
+     crash state at or before fence [target] (fences counted from 0),
+     labelled [label fence] and paired with [meta fence] taken at the same
+     moment. Memory stays bounded whatever the run length. *)
+  let crash_point device ~target ~label meta =
+    let captured = ref None in
+    Crashmc.on_pending_fence device (fun fence ->
+        if fence <= target then
+          captured :=
+            Some
+              ( Device.capture_crash_state ~label:(label fence) device,
+                meta fence ));
+    captured
+
+  (* Run [f] twice; the runs must agree bit for bit. Returns the first. *)
+  let deterministic t f =
+    let first = f () in
+    if f () <> first then fail t "two runs with the same seed disagree";
+    first
+
+  (* Print the verdict; any failure exits 1. *)
+  let finish t =
+    match List.rev t.failures with
+    | [] -> Fmt.pr "%s OK@." t.name
+    | fs ->
+      List.iter (Fmt.epr "%s FAIL: %s@." t.name) fs;
+      exit 1
+
+  (* Run every crashmc scenario at [params], print the report, and hold it
+     to the acceptance bar: the given minimum coverage, zero violations on
+     the real code, every buggy fixture flagged (the checker is not
+     vacuous), and the same report from a second run. *)
+  let crash_suite ?(min_images = 0) ?(min_recovery_states = 0)
+      ~min_recovery_images name params =
+    let t = { name; seed = params.Crashmc.seed; failures = [] } in
+    let report =
+      deterministic t (fun () ->
+          Crashmc.run_suite ~params Hinfs_crashmc.Scenarios.all)
+    in
+    Fmt.pr "%a@." Crashmc.pp_report report;
+    let at_least what count bar =
+      let n = Crashmc.total count report in
+      if n < bar then fail t "only %d %s (need >= %d)" n what bar
+    in
+    at_least "distinct crash images explored"
+      (fun r -> r.sr_images) min_images;
+    at_least "recovery-phase crash states captured"
+      (fun r -> r.sr_recovery_states) min_recovery_states;
+    at_least "crash-during-recovery images verified"
+      (fun r -> r.sr_recovery_images) min_recovery_images;
+    (match Crashmc.unexpected_violations report with
+    | [] -> ()
+    | (sc, st, v) :: _ as vs ->
+      fail t "%d unexpected violation(s), e.g. [%s/%s] %s" (List.length vs)
+        sc st v);
+    (match Crashmc.missed_fixtures report with
+    | [] -> ()
+    | ms -> fail t "buggy fixture(s) not flagged: %s" (String.concat ", " ms));
+    finish t
+end

@@ -25,7 +25,6 @@
    Wired into `dune runtest` through the torture-soak alias; also runnable
    directly: dune exec test/torture_soak.exe *)
 
-module Engine = Hinfs_sim.Engine
 module Rng = Hinfs_sim.Rng
 module Stats = Hinfs_stats.Stats
 module Config = Hinfs_nvmm.Config
@@ -38,14 +37,12 @@ module Log = Hinfs_journal.Cacheline_log
 module Errno = Hinfs_vfs.Errno
 module Fsck = Hinfs_fsck.Fsck
 module Repair = Hinfs_fsck.Repair
-module Obs = Hinfs_obs.Obs
+module Crashmc = Hinfs_crashmc.Crashmc
+module Soak = Testkit.Soak
 
-(* Override the soak seed with SOAK_SEED=<int64> to reproduce or widen a
-   failure; every failure message carries the seed that produced it. *)
-let seed =
-  match Sys.getenv_opt "SOAK_SEED" with
-  | Some s -> Int64.of_string s
-  | None -> 1337L
+let soak = Soak.create ~default_seed:1337L "torture-soak"
+let seed = soak.seed
+let fail fmt = Soak.fail soak fmt
 let rounds = 6
 let ops_per_round = 80
 let max_files = 16
@@ -53,11 +50,6 @@ let root = Layout.root_ino
 let chunk_max = 8 * 1024
 
 let config = { Config.default with Config.nvmm_size = 8 * 1024 * 1024 }
-
-let failures = ref []
-
-let fail fmt =
-  Fmt.kstr (fun s -> failures := Fmt.str "[seed %Ld] %s" seed s :: !failures) fmt
 
 (* Oracle entry: contents as of the last *successful* operation, plus a
    taint flag once a failed or EIO-hit write may have torn the data range
@@ -101,19 +93,14 @@ type outcome = {
 let verify_image engine ~label ~oracle ~in_flight ?record image =
   let stats = Stats.create () in
   let d = Device.of_snapshot engine stats config image in
-  let captured = ref None in
-  (match record with
-  | None -> ()
-  | Some target ->
-    Device.enable_recording d;
-    let fences = ref 0 in
-    Device.set_on_fence d (fun () ->
-        (* Keep the newest state at or before the target fence: bounded
-           memory, and a seeded position inside the recovery window. *)
-        if !fences <= target && Device.pending_choice_lines d > 0 then
-          captured :=
-            Some (Device.capture_crash_state ~label:(Fmt.str "%s-recovery-fence-%d" label !fences) d);
-        incr fences));
+  let captured =
+    match record with
+    | None -> ref None
+    | Some target ->
+      Soak.crash_point d ~target
+        ~label:(Fmt.str "%s-recovery-fence-%d" label)
+        ignore
+  in
   let fs = Pmfs.mount d () in
   (match record with Some _ -> Device.disable_recording d | None -> ());
   let freport = Fsck.check_pmfs fs in
@@ -136,17 +123,13 @@ let verify_image engine ~label ~oracle ~in_flight ?record image =
               fail "[%s] file %S: content mismatch after recovery" label name
           end)
     oracle;
-  (Stats.recovered_txns stats, !captured)
+  (Stats.recovered_txns stats, Option.map fst !captured)
 
+(* Under the observability sink: crash-image mounts, rollbacks and forced
+   mid-op failures all unwind through instrumented spans, and the
+   accounting must still balance at the end. *)
 let run_soak () =
-  let engine = Engine.create () in
-  (* Soak under the observability sink: crash-image mounts, rollbacks and
-     forced mid-op failures all unwind through instrumented spans, and the
-     accounting must still balance at the end. *)
-  let obs = Obs.create engine in
-  Obs.install obs;
-  let result = ref None in
-  Engine.spawn engine ~name:"torture" (fun () ->
+  Soak.run ~obs:true soak (fun engine ->
       let stats = Stats.create () in
       let d = Device.create engine stats config in
       let fs = Pmfs.mkfs_and_mount d ~journal_blocks:32 () in
@@ -273,21 +256,12 @@ let run_soak () =
       for round = 1 to rounds do
         (* Arm the recorder and pick a seeded mid-round fence to crash at;
            the hook keeps the newest capturable state at or before it. *)
-        Device.enable_recording d;
         let target = Rng.int rng 300 in
-        let fences = ref 0 in
-        let captured = ref None in
-        let capture_meta = ref None in
-        Device.set_on_fence d (fun () ->
-            if !fences <= target && Device.pending_choice_lines d > 0 then begin
-              captured :=
-                Some
-                  (Device.capture_crash_state
-                     ~label:(Fmt.str "round-%d-fence-%d" round !fences)
-                     d);
-              capture_meta := Some (copy_oracle oracle, !in_flight, !fences)
-            end;
-            incr fences);
+        let captured =
+          Soak.crash_point d ~target
+            ~label:(Fmt.str "round-%d-fence-%d" round)
+            (fun fence -> (copy_oracle oracle, !in_flight, fence))
+        in
         let ok0 = !ops_ok and failed0 = !ops_failed in
         let debug_leaks = Sys.getenv_opt "LEAK_DEBUG" <> None in
         let last_leaked = ref 0 in
@@ -314,18 +288,10 @@ let run_soak () =
         (* Crash: the captured mid-round state if one exists (a real
            mid-transaction image), else the end-of-round medium. *)
         let image, capture_fence, oracle_at_crash, racing =
-          match (!captured, !capture_meta) with
-          | Some state, Some (osnap, racing, fence) ->
-            let counts =
-              Array.of_list
-                (List.map (fun (_, c) -> Array.length c) state.Device.cs_choices)
-            in
-            let vec = Array.map (fun c -> Rng.int rng c) counts in
-            ( Device.materialize_crash_image state ~choice:vec,
-              Some fence,
-              osnap,
-              racing )
-          | _ -> (Device.snapshot d, None, copy_oracle oracle, None)
+          match !captured with
+          | Some (state, (osnap, racing, fence)) ->
+            (Crashmc.random_image rng state, Some fence, osnap, racing)
+          | None -> (Device.snapshot d, None, copy_oracle oracle, None)
         in
         let label = Fmt.str "round-%d" round in
         let recovery_target = Rng.int rng 8 in
@@ -339,12 +305,7 @@ let run_soak () =
           match recovery_state with
           | None -> (None, None)
           | Some state ->
-            let counts =
-              Array.of_list
-                (List.map (fun (_, c) -> Array.length c) state.Device.cs_choices)
-            in
-            let vec = Array.map (fun c -> Rng.int rng c) counts in
-            let nested = Device.materialize_crash_image state ~choice:vec in
+            let nested = Crashmc.random_image rng state in
             let rb, _ =
               verify_image engine ~label:(label ^ "-recrash")
                 ~oracle:oracle_at_crash ~in_flight:racing nested
@@ -387,30 +348,20 @@ let run_soak () =
       in
       if live_violations <> [] then
         fail "live mount fails fsck: %s" (String.concat "; " live_violations);
-      result :=
-        Some
-          {
-            o_rounds = List.rev !round_outcomes;
-            o_injected =
-              List.map
-                (fun k -> (Faultops.kind_name k, Faultops.injected fops k))
-                Faultops.kinds;
-            o_mount_repairs = !mount_repairs;
-            o_live_leaks = (freport.Fsck.leaked_blocks, freport.Fsck.leaked_inodes);
-            o_live_violations = List.length live_violations;
-          });
-  Engine.run engine;
-  if Obs.open_spans obs > 0 || Obs.mismatches obs > 0 then
-    fail "span accounting broken under torture (%d open, %d mismatched)"
-      (Obs.open_spans obs) (Obs.mismatches obs);
-  Obs.uninstall ();
-  match !result with
-  | Some o -> o
-  | None ->
-    Fmt.failwith "torture-soak simulation did not complete (seed %Ld)" seed
+      {
+        o_rounds = List.rev !round_outcomes;
+        o_injected =
+          List.map
+            (fun k -> (Faultops.kind_name k, Faultops.injected fops k))
+            Faultops.kinds;
+        o_mount_repairs = !mount_repairs;
+        o_live_leaks = (freport.Fsck.leaked_blocks, freport.Fsck.leaked_inodes);
+        o_live_violations = List.length live_violations;
+      })
 
+(* Bit-for-bit reproducibility, images included. *)
 let () =
-  let o1 = run_soak () in
+  let o1 = Soak.deterministic soak run_soak in
   List.iteri
     (fun i r ->
       let at =
@@ -443,11 +394,4 @@ let () =
     fail "no recovery rolled back a transaction (crashes all landed idle)";
   if not (List.exists (fun r -> r.r_digest2 <> None) o1.o_rounds) then
     fail "no crash-during-recovery image was exercised";
-  (* Bit-for-bit reproducibility, images included. *)
-  let o2 = run_soak () in
-  if o1 <> o2 then fail "torture soak is not deterministic for seed %Ld" seed;
-  match !failures with
-  | [] -> Fmt.pr "torture-soak OK@."
-  | fs ->
-    List.iter (Fmt.epr "torture-soak FAIL: %s@.") (List.rev fs);
-    exit 1
+  Soak.finish soak
