@@ -999,7 +999,8 @@ let baseline () =
   Fmt.pf ppf "wrote %s (%d experiments)@." path (List.length experiments)
 
 (* ------------------------------------------------------------------ *)
-(* Bechamel microbenchmarks of the core data structures (wall clock).  *)
+(* Bechamel microbenchmarks: core data structures and the simulator's  *)
+(* hot path (wall clock).                                               *)
 (* ------------------------------------------------------------------ *)
 
 let micro () =
@@ -1042,8 +1043,67 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Hinfs_sim.Zipf.sample zipf_gen zipf_rng)))
   in
+  (* Layer-level host cost of the simulator's hot path. *)
+  let small = { Hinfs_nvmm.Config.default with nvmm_size = 8 * 1024 * 1024 } in
+  let device_get_int =
+    let d =
+      Hinfs_nvmm.Device.create (Hinfs_sim.Engine.create ())
+        (Hinfs_stats.Stats.create ()) small
+    in
+    Test.make ~name:"device.get_int"
+      (Staged.stage (fun () -> ignore (Hinfs_nvmm.Device.get_int d 4096)))
+  in
+  (* One run advances the clock by 1 ns: the looping process wakes from
+     its last delay and performs the next one. *)
+  let proc_delay =
+    let engine = Hinfs_sim.Engine.create () in
+    Hinfs_sim.Engine.spawn engine (fun () ->
+        while true do
+          Hinfs_sim.Proc.delay 1L
+        done);
+    Test.make ~name:"proc.delay"
+      (Staged.stage (fun () ->
+           Hinfs_sim.Engine.run
+             ~until:(Int64.succ (Hinfs_sim.Engine.now engine))
+             engine))
+  in
+  (* A miss scans all 256 dirents of a directory, comparing every name. *)
+  let dir_find =
+    let engine = Hinfs_sim.Engine.create () in
+    let fs = ref None in
+    Hinfs_sim.Engine.spawn engine (fun () ->
+        let d =
+          Hinfs_nvmm.Device.create engine (Hinfs_stats.Stats.create ()) small
+        in
+        let p = Hinfs_pmfs.Pmfs.mkfs_and_mount d ~journal_blocks:32 () in
+        let dir = Hinfs_pmfs.Pmfs.mkdir p ~dir:Hinfs_pmfs.Layout.root_ino "d" in
+        for i = 0 to 255 do
+          ignore (Hinfs_pmfs.Pmfs.create_file p ~dir (Fmt.str "entry%03d" i))
+        done;
+        fs := Some (Hinfs_pmfs.Pmfs.ctx p, dir));
+    Hinfs_sim.Engine.run engine;
+    let ctx, dir = Option.get !fs in
+    Test.make ~name:"dir.find-256"
+      (Staged.stage (fun () ->
+           ignore (Hinfs_pmfs.Dir.find ctx ~dir "entry999")))
+  in
+  let rdata_4k = Hinfs_server.Wire.R_data (String.make 4096 'd') in
+  let wire_encode =
+    Test.make ~name:"wire.encode-rdata-4k"
+      (Staged.stage (fun () ->
+           ignore (Hinfs_server.Wire.encode_reply rdata_4k)))
+  in
   let tests =
-    [ btree_insert; btree_find; clbitmap_runs; zipf_sample ]
+    [
+      btree_insert;
+      btree_find;
+      clbitmap_runs;
+      zipf_sample;
+      device_get_int;
+      proc_delay;
+      dir_find;
+      wire_encode;
+    ]
   in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
   let cfg =

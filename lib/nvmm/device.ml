@@ -71,6 +71,8 @@ type t = {
   config : Config.t;
   persistent : Bytes.t;
   overlay : (int, Bytes.t) Hashtbl.t; (* cacheline index -> line content *)
+  dirty : Bytes.t; (* one bit per cacheline: set iff [overlay] holds it *)
+  line_bits : int; (* log2 of the cacheline size, a power of two *)
   bandwidth : Hinfs_sim.Resource.t;
   mutable recorder : Record.t option;
   mutable fault : Fault.t option; (* media-fault model; None = perfect *)
@@ -93,20 +95,29 @@ module Resource = Hinfs_sim.Resource
 module Stats = Hinfs_stats.Stats
 module Obs = Hinfs_obs.Obs
 
-let create engine stats config =
-  let config = Config.validate config in
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
+
+let make engine stats config persistent =
+  let ls = config.Config.cacheline_size in
+  let lines = (Bytes.length persistent + ls - 1) / ls in
   {
     engine;
     stats;
     config;
-    persistent = Bytes.make config.Config.nvmm_size '\000';
+    persistent;
     overlay = Hashtbl.create 4096;
+    dirty = Bytes.make ((lines + 7) / 8) '\000';
+    line_bits = log2 ls;
     bandwidth =
       Resource.create ~name:"nvmm-write-bandwidth"
         ~capacity:(Config.nw_slots config);
     recorder = None;
     fault = None;
   }
+
+let create engine stats config =
+  let config = Config.validate config in
+  make engine stats config (Bytes.make config.Config.nvmm_size '\000')
 
 let config t = t.config
 let size t = t.config.Config.nvmm_size
@@ -128,20 +139,63 @@ let charge t cat f =
   Stats.add_time t.stats cat (Int64.sub (Proc.now ()) t0);
   result
 
-(* --- volatile overlay helpers --- *)
+(* --- volatile overlay helpers ---
+
+   The [dirty] bitmap mirrors the key set of [overlay], so the common
+   clean-line test is a bit test rather than a hash lookup. Every insertion
+   and removal goes through [overlay_line] / [overlay_remove] (and [crash]
+   clears both), which keeps the two in step. *)
+
+let[@inline] is_dirty_line t idx =
+  Char.code (Bytes.get t.dirty (idx lsr 3)) land (1 lsl (idx land 7)) <> 0
+
+let set_dirty_bit t idx on =
+  let byte = Char.code (Bytes.get t.dirty (idx lsr 3)) in
+  let bit = 1 lsl (idx land 7) in
+  Bytes.set t.dirty (idx lsr 3)
+    (Char.unsafe_chr (if on then byte lor bit else byte land lnot bit))
 
 let overlay_line t idx =
-  match Hashtbl.find_opt t.overlay idx with
-  | Some line -> line
-  | None ->
+  if is_dirty_line t idx then Hashtbl.find t.overlay idx
+  else begin
     let line = Bytes.create (line_size t) in
     Bytes.blit t.persistent (idx * line_size t) line 0 (line_size t);
     Hashtbl.replace t.overlay idx line;
+    set_dirty_bit t idx true;
     line
+  end
+
+let overlay_remove t idx =
+  Hashtbl.remove t.overlay idx;
+  set_dirty_bit t idx false
 
 let dirty_cachelines t = Hashtbl.length t.overlay
 
-let is_dirty_line t idx = Hashtbl.mem t.overlay idx
+(* [buf] from [off] mirrors the device range [addr, addr + len). Copy the
+   part of that range inside cacheline [idx] from [buf] into the cached
+   [line] ([blit_to_line]), or from every dirty line into [buf]
+   ([patch_dirty]). *)
+let blit_to_line t idx line ~addr ~src ~off ~len =
+  let line_start = idx * line_size t in
+  let copy_start = Int.max addr line_start in
+  let copy_end = Int.min (addr + len) (line_start + line_size t) in
+  Bytes.blit src
+    (off + copy_start - addr)
+    line (copy_start - line_start)
+    (copy_end - copy_start)
+
+let patch_dirty t ~addr ~len ~into ~off =
+  let ls = line_size t in
+  for idx = addr / ls to (addr + len - 1) / ls do
+    if is_dirty_line t idx then begin
+      let line_start = idx * ls in
+      let copy_start = Int.max addr line_start in
+      let copy_end = Int.min (addr + len) (line_start + ls) in
+      Bytes.blit (Hashtbl.find t.overlay idx) (copy_start - line_start) into
+        (off + copy_start - addr)
+        (copy_end - copy_start)
+    end
+  done
 
 let dirty_line_addrs t =
   let ls = line_size t in
@@ -174,14 +228,19 @@ let record_store t idx =
   | Some r ->
     r.Record.stores <- r.Record.stores + 1;
     let rl = record_line t r idx in
-    (match Hashtbl.find_opt t.overlay idx with
-    | Some line
-      when rl.Record.store_epoch >= 0 && rl.Record.store_epoch < r.Record.epoch
-      ->
+    if
+      is_dirty_line t idx
+      && rl.Record.store_epoch >= 0
+      && rl.Record.store_epoch < r.Record.epoch
+    then
       rl.Record.versions <-
         rl.Record.versions
-        @ [ { Record.content = Bytes.copy line; flushed = false } ]
-    | _ -> ());
+        @ [
+            {
+              Record.content = Bytes.copy (Hashtbl.find t.overlay idx);
+              flushed = false;
+            };
+          ];
     rl.Record.store_epoch <- r.Record.epoch
 
 (* Called with the dirty line content just before it is blitted to the
@@ -368,20 +427,7 @@ let read t ~cat ~addr ~len ~into ~off =
        check here, after the access paid its latency. *)
     fault_check_load t ~addr ~len;
     Bytes.blit t.persistent addr into off len;
-    (* Patch bytes whose cachelines are dirty in the CPU cache. *)
-    let ls = line_size t in
-    let first = addr / ls and last = (addr + len - 1) / ls in
-    for idx = first to last do
-      if is_dirty_line t idx then begin
-        let line = Hashtbl.find t.overlay idx in
-        let line_start = idx * ls in
-        let copy_start = max addr line_start in
-        let copy_end = min (addr + len) (line_start + ls) in
-        Bytes.blit line (copy_start - line_start) into
-          (off + copy_start - addr)
-          (copy_end - copy_start)
-      end
-    done;
+    patch_dirty t ~addr ~len ~into ~off;
     Stats.add_nvmm_read t.stats len
   end
 
@@ -389,6 +435,23 @@ let read_alloc t ~cat ~addr ~len =
   let buf = Bytes.create len in
   read t ~cat ~addr ~len ~into:buf ~off:0;
   buf
+
+(* A store that reaches the medium directly invalidates any stale cached
+   copy of the lines it covers (it fully bypasses the cache hierarchy).
+   Partially covered lines must merge the new bytes into the cached copy
+   instead. *)
+let invalidate_cached t ~addr ~src ~off ~len =
+  let ls = line_size t in
+  let first = addr / ls and last = (addr + len - 1) / ls in
+  for idx = first to last do
+    if is_dirty_line t idx then begin
+      let line_start = idx * ls in
+      if addr <= line_start && line_start + ls <= addr + len then
+        overlay_remove t idx
+      else
+        blit_to_line t idx (Hashtbl.find t.overlay idx) ~addr ~src ~off ~len
+    end
+  done
 
 let write_nt ?(background = false) t ~cat ~addr ~src ~off ~len =
   check_range t ~addr ~len;
@@ -403,27 +466,7 @@ let write_nt ?(background = false) t ~cat ~addr ~src ~off ~len =
             Proc.delay_int (lines * t.config.Config.nvmm_write_ns)));
     record_nt_pre t ~addr ~len;
     Bytes.blit src off t.persistent addr len;
-    (* A non-temporal store invalidates any stale cached copy of the lines
-       it covers (it fully bypasses the cache hierarchy). Partially covered
-       lines must merge the new bytes into the cached copy instead. *)
-    let ls = line_size t in
-    let first = addr / ls and last = (addr + len - 1) / ls in
-    for idx = first to last do
-      match Hashtbl.find_opt t.overlay idx with
-      | None -> ()
-      | Some line ->
-        let line_start = idx * ls in
-        if addr <= line_start && line_start + ls <= addr + len then
-          Hashtbl.remove t.overlay idx
-        else begin
-          let copy_start = max addr line_start in
-          let copy_end = min (addr + len) (line_start + ls) in
-          Bytes.blit src
-            (off + copy_start - addr)
-            line (copy_start - line_start)
-            (copy_end - copy_start)
-        end
-    done;
+    invalidate_cached t ~addr ~src ~off ~len;
     record_nt_post t ~addr ~len;
     fault_store_range t ~addr ~len;
     Stats.add_nvmm_written ~background t.stats len
@@ -441,14 +484,7 @@ let write_cached t ~cat ~addr ~src ~off ~len =
     let first = addr / ls and last = (addr + len - 1) / ls in
     for idx = first to last do
       record_store t idx;
-      let line = overlay_line t idx in
-      let line_start = idx * ls in
-      let copy_start = max addr line_start in
-      let copy_end = min (addr + len) (line_start + ls) in
-      Bytes.blit src
-        (off + copy_start - addr)
-        line (copy_start - line_start)
-        (copy_end - copy_start)
+      blit_to_line t idx (overlay_line t idx) ~addr ~src ~off ~len
     done
   end
 
@@ -456,13 +492,13 @@ let write_cached t ~cat ~addr ~src ~off ~len =
    and writes the line back. Both [clflush] and [flush_all_untimed] go
    through here so timed and test-setup persistence cannot diverge. *)
 let persist_line t idx =
-  match Hashtbl.find_opt t.overlay idx with
-  | None -> ()
-  | Some line ->
+  if is_dirty_line t idx then begin
+    let line = Hashtbl.find t.overlay idx in
     record_flush t idx line;
     Bytes.blit line 0 t.persistent (idx * line_size t) (line_size t);
-    Hashtbl.remove t.overlay idx;
+    overlay_remove t idx;
     fault_store_line t idx
+  end
 
 (* Flush the dirty cachelines intersecting [addr, addr+len) to the medium.
    Clean lines only pay the instruction-issue cost. *)
@@ -508,30 +544,10 @@ let mfence t ~cat =
    charge per syscall). Stores go through the cached-write path so that
    crash semantics remain exact. *)
 
-let peek_byte t addr =
-  let ls = line_size t in
-  match Hashtbl.find_opt t.overlay (addr / ls) with
-  | Some line -> Bytes.get_uint8 line (addr mod ls)
-  | None -> Bytes.get_uint8 t.persistent addr
-
 let peek t ~addr ~len =
   check_range t ~addr ~len;
-  let buf = Bytes.create len in
-  Bytes.blit t.persistent addr buf 0 len;
-  let ls = line_size t in
-  if len > 0 then begin
-    let first = addr / ls and last = (addr + len - 1) / ls in
-    for idx = first to last do
-      if is_dirty_line t idx then begin
-        let line = Hashtbl.find t.overlay idx in
-        let line_start = idx * ls in
-        let copy_start = max addr line_start in
-        let copy_end = min (addr + len) (line_start + ls) in
-        Bytes.blit line (copy_start - line_start) buf (copy_start - addr)
-          (copy_end - copy_start)
-      end
-    done
-  end;
+  let buf = Bytes.sub t.persistent addr len in
+  if len > 0 then patch_dirty t ~addr ~len ~into:buf ~off:0;
   buf
 
 let peek_persistent t ~addr ~len =
@@ -549,16 +565,8 @@ let poke t ~addr ~src ~off ~len =
     let ls = line_size t in
     let first = addr / ls and last = (addr + len - 1) / ls in
     for idx = first to last do
-      match Hashtbl.find_opt t.overlay idx with
-      | None -> ()
-      | Some line ->
-        let line_start = idx * ls in
-        let copy_start = max addr line_start in
-        let copy_end = min (addr + len) (line_start + ls) in
-        Bytes.blit src
-          (off + copy_start - addr)
-          line (copy_start - line_start)
-          (copy_end - copy_start)
+      if is_dirty_line t idx then
+        blit_to_line t idx (Hashtbl.find t.overlay idx) ~addr ~src ~off ~len
     done
   end
 
@@ -574,26 +582,7 @@ let poke_flushed t ~addr ~src ~off ~len =
   if len > 0 then begin
     record_nt_pre t ~addr ~len;
     Bytes.blit src off t.persistent addr len;
-    (* Same cache rule as [write_nt]: fully covered cached lines are
-       invalidated, partially covered ones merge the new bytes. *)
-    let ls = line_size t in
-    let first = addr / ls and last = (addr + len - 1) / ls in
-    for idx = first to last do
-      match Hashtbl.find_opt t.overlay idx with
-      | None -> ()
-      | Some line ->
-        let line_start = idx * ls in
-        if addr <= line_start && line_start + ls <= addr + len then
-          Hashtbl.remove t.overlay idx
-        else begin
-          let copy_start = max addr line_start in
-          let copy_end = min (addr + len) (line_start + ls) in
-          Bytes.blit src
-            (off + copy_start - addr)
-            line (copy_start - line_start)
-            (copy_end - copy_start)
-        end
-    done;
+    invalidate_cached t ~addr ~src ~off ~len;
     record_nt_post t ~addr ~len;
     fault_heal_range t ~addr ~len
   end
@@ -604,12 +593,50 @@ let poke_flushed t ~addr ~src ~off ~len =
    is off. *)
 let fence_untimed t = record_fence t
 
-let get_u8 t addr = peek_byte t addr
+(* Scalar loads read in place from the dirty line or the medium. Only a
+   field that straddles a cacheline, or lies out of range, takes the
+   allocating [peek] path (which raises the range error). *)
+let[@inline] load t addr n get =
+  let ls = line_size t in
+  let o = addr land (ls - 1) in
+  if addr < 0 || addr + n > size t || o + n > ls then
+    get (peek t ~addr ~len:n) 0
+  else
+    let idx = addr lsr t.line_bits in
+    if is_dirty_line t idx then get (Hashtbl.find t.overlay idx) o
+    else get t.persistent addr
 
-let get_u16 t addr = Bytes.get_uint16_le (peek t ~addr ~len:2) 0
-let get_u32 t addr = Int32.to_int (Bytes.get_int32_le (peek t ~addr ~len:4) 0) land 0xFFFFFFFF
-let get_u64 t addr = Bytes.get_int64_le (peek t ~addr ~len:8) 0
-let get_int t addr = Int64.to_int (get_u64 t addr)
+let get_u8 t addr = load t addr 1 Bytes.get_uint8
+let get_u16 t addr = load t addr 2 Bytes.get_uint16_le
+
+let get_u32 t addr =
+  load t addr 4 (fun b o ->
+      Int32.to_int (Bytes.get_int32_le b o) land 0xFFFFFFFF)
+
+let get_u64 t addr = load t addr 8 Bytes.get_int64_le
+let get_int t addr =
+  load t addr 8 (fun b o -> Int64.to_int (Bytes.get_int64_le b o))
+
+(* Coherent in-place comparison of [addr, addr + length s) with [s]. *)
+let equal_string t ~addr s =
+  let len = String.length s in
+  check_range t ~addr ~len;
+  let bits = t.line_bits in
+  let i = ref 0 and equal = ref true in
+  while !equal && !i < len do
+    let idx = (addr + !i) lsr bits in
+    let line_end = ((idx + 1) lsl bits) - addr in
+    let stop = if line_end < len then line_end else len in
+    let dirty = is_dirty_line t idx in
+    let src = if dirty then Hashtbl.find t.overlay idx else t.persistent in
+    let shift = if dirty then addr - (idx lsl bits) else addr in
+    while !equal && !i < stop do
+      if Bytes.unsafe_get src (shift + !i) <> String.unsafe_get s !i then
+        equal := false;
+      incr i
+    done
+  done;
+  !equal
 
 let set_bytes t ~cat ~addr bytes =
   write_cached t ~cat ~addr ~src:bytes ~off:0 ~len:(Bytes.length bytes)
@@ -640,6 +667,7 @@ let set_int t ~cat addr v = set_u64 t ~cat addr (Int64.of_int v)
 
 let crash t =
   Hashtbl.reset t.overlay;
+  Bytes.fill t.dirty 0 (Bytes.length t.dirty) '\000';
   match t.recorder with
   | None -> ()
   | Some r -> Hashtbl.reset r.Record.lines
@@ -654,18 +682,7 @@ let of_snapshot engine stats config image =
   let config = Config.validate config in
   if Bytes.length image <> config.Config.nvmm_size then
     invalid_arg "Device.of_snapshot: image size mismatch";
-  {
-    engine;
-    stats;
-    config;
-    persistent = Bytes.copy image;
-    overlay = Hashtbl.create 4096;
-    bandwidth =
-      Resource.create ~name:"nvmm-write-bandwidth"
-        ~capacity:(Config.nw_slots config);
-    recorder = None;
-    fault = None;
-  }
+  make engine stats config (Bytes.copy image)
 
 (* Test/setup helper: persist every dirty line through the same path as
    [clflush], then make the result guaranteed (flush-all acts as flush +

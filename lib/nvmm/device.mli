@@ -75,14 +75,19 @@ val mfence : t -> cat:Hinfs_stats.Stats.category -> unit
 
 (** {1 Typed metadata accessors}
 
-    Loads are untimed (cache-hot; the paper folds them into "Others").
-    Stores go through the cached-write path so crash semantics stay exact. *)
+    Loads are untimed (cache-hot; the paper folds them into "Others") and
+    read in place, without allocating. Stores go through the cached-write
+    path so crash semantics stay exact. *)
 
 val get_u8 : t -> int -> int
 val get_u16 : t -> int -> int
 val get_u32 : t -> int -> int
 val get_u64 : t -> int -> int64
 val get_int : t -> int -> int
+val equal_string : t -> addr:int -> string -> bool
+(** [equal_string t ~addr s] compares the coherent view of
+    [addr, addr + length s) with [s] in place, without copying. *)
+
 val set_u8 : t -> cat:Hinfs_stats.Stats.category -> int -> int -> unit
 val set_u16 : t -> cat:Hinfs_stats.Stats.category -> int -> int -> unit
 val set_u32 : t -> cat:Hinfs_stats.Stats.category -> int -> int -> unit

@@ -53,8 +53,7 @@ module Types = Hinfs_vfs.Types
 module Obs = Hinfs_obs.Obs
 
 let inode_size = 128
-let dirent_size = 64
-let max_name_len = 55
+let dirent_size = Dir.dirent_size
 let root_ino = 1
 let mcat = Stats.Other
 let ccat = Stats.Journal
@@ -509,66 +508,43 @@ let zap_data_block t ~cat ~ia ~fblock =
 
 (* --- directories (64-byte dirents, as in Dir) --- *)
 
-let check_name name =
-  let len = String.length name in
-  if len = 0 || len > max_name_len then
-    Errno.raise_error EINVAL "directory entry name %S too long (max %d)" name
-      max_name_len
-
 let dirents_per_block t = t.bs / dirent_size
 
-let read_dirent t block slot =
-  let addr = baddr t block + (slot * dirent_size) in
-  let raw = Device.peek t.device ~addr ~len:dirent_size in
-  let ino = Int32.to_int (Bytes.get_int32_le raw 0) in
-  if ino = 0 then None
-  else Some (Bytes.sub_string raw 6 (Bytes.get_uint16_le raw 4), ino)
-
-let iter_dirents_at t ~imap ~dir f =
-  let nblocks = isize_at t ~imap dir / t.bs in
-  let per_block = dirents_per_block t in
-  let stop = ref false in
-  let fblock = ref 0 in
-  while (not !stop) && !fblock < nblocks do
-    (match lookup_block_at t ~imap ~ino:dir ~fblock:!fblock with
-    | None -> ()
-    | Some block ->
-      let slot = ref 0 in
-      while (not !stop) && !slot < per_block do
-        (match read_dirent t block !slot with
-        | None -> ()
-        | Some (name, ino) ->
-          if not (f ~fblock:!fblock ~block ~slot:!slot ~name ~ino) then
-            stop := true);
-        incr slot
-      done);
-    incr fblock
-  done
+(* Dirent scans go through {!Dir.scan} with Dir's in-place slot tests;
+   only the block lookup (through the inode map at [imap]) is Cowfs's. *)
+let scan_dirents_at t ~imap ~dir f =
+  Dir.scan
+    ~nblocks:(isize_at t ~imap dir / t.bs)
+    ~per_block:(dirents_per_block t)
+    ~lookup:(fun fblock -> lookup_block_at t ~imap ~ino:dir ~fblock)
+    ~addr:(fun block slot -> baddr t block + (slot * dirent_size))
+    f
 
 let dir_find_at t ~imap ~dir name =
   let result = ref None in
-  iter_dirents_at t ~imap ~dir
-    (fun ~fblock ~block:_ ~slot ~name:entry ~ino ->
-      if String.equal entry name then begin
-        result := Some (ino, fblock, slot);
-        false
-      end
-      else true);
+  ignore
+    (scan_dirents_at t ~imap ~dir (fun ~fblock ~block:_ ~slot addr ->
+         Dir.dirent_matches t.device ~addr name
+         && begin
+              result := Some (Dir.slot_ino t.device addr, fblock, slot);
+              true
+            end));
   !result
 
 let dir_list_at t ~imap ~dir =
   let acc = ref [] in
-  iter_dirents_at t ~imap ~dir (fun ~fblock:_ ~block:_ ~slot:_ ~name ~ino ->
-      acc := (name, ino) :: !acc;
-      true);
+  ignore
+    (scan_dirents_at t ~imap ~dir (fun ~fblock:_ ~block:_ ~slot:_ addr ->
+         Option.iter
+           (fun e -> acc := e :: !acc)
+           (Dir.read_dirent t.device addr);
+         false));
   List.rev !acc
 
 let dir_is_empty_at t ~imap ~dir =
-  let empty = ref true in
-  iter_dirents_at t ~imap ~dir (fun ~fblock:_ ~block:_ ~slot:_ ~name:_ ~ino:_ ->
-      empty := false;
-      false);
-  !empty
+  not
+    (scan_dirents_at t ~imap ~dir (fun ~fblock:_ ~block:_ ~slot:_ addr ->
+         Dir.slot_ino t.device addr <> 0))
 
 let write_dirent t ~cat ~block ~slot ~name ~ino =
   let raw = Bytes.make dirent_size '\000' in
@@ -581,28 +557,21 @@ let write_dirent t ~cat ~block ~slot ~name ~ino =
    [dir_ia]). CoWs the dirent block; appends a fresh zeroed block when no
    slot is free. *)
 let dir_add t ~cat ~dir ~dir_ia name ~ino =
-  check_name name;
+  Dir.check_name name;
   let fblock, slot =
     match dir_find_at t ~imap:t.imap_root ~dir name with
     | Some _ -> Errno.raise_error EEXIST "%S already exists" name
     | None -> (
       (* First free slot among existing dirent blocks. *)
       let free = ref None in
-      let nblocks = isize_at t ~imap:t.imap_root dir / t.bs in
-      let per_block = dirents_per_block t in
-      (try
-         for fb = 0 to nblocks - 1 do
-           match lookup_block_at t ~imap:t.imap_root ~ino:dir ~fblock:fb with
-           | None -> ()
-           | Some block ->
-             for s = 0 to per_block - 1 do
-               if !free = None && read_dirent t block s = None then begin
-                 free := Some (fb, s);
-                 raise Exit
-               end
-             done
-         done
-       with Exit -> ());
+      ignore
+        (scan_dirents_at t ~imap:t.imap_root ~dir
+           (fun ~fblock ~block:_ ~slot addr ->
+             Dir.slot_ino t.device addr = 0
+             && begin
+                  free := Some (fblock, slot);
+                  true
+                end));
       match !free with
       | Some fs -> fs
       | None ->

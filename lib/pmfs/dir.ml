@@ -30,53 +30,63 @@ let check_name name =
 let dirent_addr ctx block slot =
   Fs_ctx.block_addr ctx block + (slot * dirent_size)
 
-let read_dirent ctx block slot =
-  let addr = dirent_addr ctx block slot in
-  let raw = Device.peek ctx.Fs_ctx.device ~addr ~len:dirent_size in
-  let ino = Int32.to_int (Bytes.get_int32_le raw 0) in
+(* Live slot and name tests, read in place: a scan copies no dirent out.
+   Cowfs shares these and {!scan}, so both substrates walk directories the
+   same way. *)
+let slot_ino device addr = Device.get_u32 device addr
+
+let dirent_matches device ~addr name =
+  slot_ino device addr <> 0
+  && Device.get_u16 device (addr + 4) = String.length name
+  && Device.equal_string device ~addr:(addr + 6) name
+
+let read_dirent device addr =
+  let ino = slot_ino device addr in
   if ino = 0 then None
   else begin
-    let name_len = Bytes.get_uint16_le raw 4 in
-    Some (Bytes.sub_string raw 6 name_len, ino)
+    let raw = Device.peek device ~addr ~len:dirent_size in
+    Some (Bytes.sub_string raw 6 (Bytes.get_uint16_le raw 4), ino)
   end
+
+(* Walk the dirent slots of [nblocks] file blocks in order ([lookup] maps a
+   file block to its device block, [None] for a hole; [addr] gives a slot's
+   byte address) until [f ~fblock ~block ~slot addr] returns true. Returns
+   whether it stopped early. *)
+let scan ~nblocks ~per_block ~lookup ~addr f =
+  let rec block_loop fblock =
+    fblock < nblocks
+    &&
+    match lookup fblock with
+    | None -> block_loop (fblock + 1)
+    | Some block ->
+      let rec slot_loop slot =
+        if slot >= per_block then block_loop (fblock + 1)
+        else f ~fblock ~block ~slot (addr block slot) || slot_loop (slot + 1)
+      in
+      slot_loop 0
+  in
+  block_loop 0
 
 (* Number of dirent blocks currently backing the directory. *)
 let dir_blocks ctx ~dir =
   let size = Layout.Inode.size ctx.Fs_ctx.device ctx.Fs_ctx.geo dir in
   size / ctx.Fs_ctx.geo.Layout.block_size
 
-(* Iterate (fblock, block, slot, name, ino) over live entries; stops early
-   if [f] returns false. *)
-let iter_entries ctx ~dir f =
-  let per_block = dirents_per_block ctx in
-  let nblocks = dir_blocks ctx ~dir in
-  let rec block_loop fblock =
-    if fblock < nblocks then begin
-      match Block_tree.lookup ctx ~ino:dir ~fblock with
-      | None -> block_loop (fblock + 1)
-      | Some block ->
-        let rec slot_loop slot =
-          if slot >= per_block then block_loop (fblock + 1)
-          else begin
-            match read_dirent ctx block slot with
-            | None -> slot_loop (slot + 1)
-            | Some (name, ino) ->
-              if f ~fblock ~block ~slot ~name ~ino then slot_loop (slot + 1)
-          end
-        in
-        slot_loop 0
-    end
-  in
-  block_loop 0
+let scan_dir ctx ~dir f =
+  scan ~nblocks:(dir_blocks ctx ~dir) ~per_block:(dirents_per_block ctx)
+    ~lookup:(fun fblock -> Block_tree.lookup ctx ~ino:dir ~fblock)
+    ~addr:(dirent_addr ctx) f
 
 let find ctx ~dir name =
+  let device = ctx.Fs_ctx.device in
   let result = ref None in
-  iter_entries ctx ~dir (fun ~fblock:_ ~block ~slot ~name:entry_name ~ino ->
-      if String.equal entry_name name then begin
-        result := Some (ino, block, slot);
-        false
-      end
-      else true);
+  ignore
+    (scan_dir ctx ~dir (fun ~fblock:_ ~block ~slot addr ->
+         dirent_matches device ~addr name
+         && begin
+              result := Some (slot_ino device addr, block, slot);
+              true
+            end));
   !result
 
 let lookup ctx ~dir name =
@@ -85,39 +95,36 @@ let lookup ctx ~dir name =
   | None -> None
 
 let list ctx ~dir =
+  let device = ctx.Fs_ctx.device in
   let acc = ref [] in
-  iter_entries ctx ~dir (fun ~fblock:_ ~block:_ ~slot:_ ~name ~ino ->
-      acc := (name, ino) :: !acc;
-      true);
+  ignore
+    (scan_dir ctx ~dir (fun ~fblock:_ ~block:_ ~slot:_ addr ->
+         Option.iter (fun e -> acc := e :: !acc) (read_dirent device addr);
+         false));
   List.rev !acc
 
 let entry_count ctx ~dir =
+  let device = ctx.Fs_ctx.device in
   let n = ref 0 in
-  iter_entries ctx ~dir (fun ~fblock:_ ~block:_ ~slot:_ ~name:_ ~ino:_ ->
-      incr n;
-      true);
+  ignore
+    (scan_dir ctx ~dir (fun ~fblock:_ ~block:_ ~slot:_ addr ->
+         if slot_ino device addr <> 0 then incr n;
+         false));
   !n
 
 let is_empty ctx ~dir = entry_count ctx ~dir = 0
 
 (* First free slot among existing dirent blocks. *)
 let find_free_slot ctx ~dir =
-  let per_block = dirents_per_block ctx in
-  let nblocks = dir_blocks ctx ~dir in
+  let device = ctx.Fs_ctx.device in
   let result = ref None in
-  (try
-     for fblock = 0 to nblocks - 1 do
-       match Block_tree.lookup ctx ~ino:dir ~fblock with
-       | None -> ()
-       | Some block ->
-         for slot = 0 to per_block - 1 do
-           if !result = None && read_dirent ctx block slot = None then begin
-             result := Some (block, slot);
-             raise Exit
-           end
-         done
-     done
-   with Exit -> ());
+  ignore
+    (scan_dir ctx ~dir (fun ~fblock:_ ~block ~slot addr ->
+         slot_ino device addr = 0
+         && begin
+              result := Some (block, slot);
+              true
+            end));
   !result
 
 (* All dirent mutations journal into the directory's home-shard log; the

@@ -60,6 +60,35 @@ let create () =
 
 let now t = t.now
 
+(* The engine whose event is running: [step] (and [run], once for all its
+   steps) installs it and restores the previous one afterwards, so a [run]
+   nested inside a process unwinds correctly. [idle] stands in outside any
+   run; its pid is always 0. *)
+let idle = create ()
+let running = ref idle
+
+let with_running t f =
+  let outer = !running in
+  if outer == t then f ()
+  else begin
+    running := t;
+    match f () with
+    | v ->
+      running := outer;
+      v
+    | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      running := outer;
+      Printexc.raise_with_backtrace e bt
+  end
+
+(* Inside a process the clock is read directly; elsewhere (an engine-context
+   thunk, or no simulation at all) the [Now] effect decides, as it always
+   did: an enclosing process's handler answers it, or it is unhandled. *)
+let process_now () =
+  let t = !running in
+  if t.cur_pid <> 0 then t.now else Effect.perform Now
+
 let live_processes t = t.live_processes
 
 let current_pid t = t.cur_pid
@@ -116,6 +145,19 @@ let rec exec : t -> string -> (unit -> unit) -> unit =
   t.on_spawn pid name;
   t.live_processes <- t.live_processes + 1;
   set_current t pid;
+  (* [Delay] is by far the most frequent effect, so its handler is built
+     once per process; the effect only stores the requested delay. *)
+  let delay_ns = ref 0 in
+  let on_delay =
+    Some
+      (fun (k : (unit, unit) continuation) ->
+        let d = !delay_ns in
+        if d < 0 then discontinue k (Invalid_argument "Engine: negative delay")
+        else
+          at t (Int64.add t.now (Int64.of_int d)) (fun () ->
+              set_current t pid;
+              resume_or_kill t k))
+  in
   match_with f ()
     {
       retc = (fun () -> t.live_processes <- t.live_processes - 1);
@@ -132,14 +174,8 @@ let rec exec : t -> string -> (unit -> unit) -> unit =
           | Now ->
             Some (fun (k : (a, unit) continuation) -> continue k t.now)
           | Delay d ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                if Int64.compare d 0L < 0 then
-                  discontinue k (Invalid_argument "Engine: negative delay")
-                else
-                  after t d (fun () ->
-                      set_current t pid;
-                      resume_or_kill t k))
+            delay_ns := Int64.to_int d;
+            on_delay
           | Spawn (child_name, body) ->
             Some
               (fun (k : (a, unit) continuation) ->
@@ -176,15 +212,16 @@ and resume_value : type a. t -> (a, unit) Effect.Deep.continuation -> a -> unit
 let spawn t ?(name = "process") f = at t t.now (fun () -> exec t name f)
 
 let step t =
-  match Heap.pop t.events with
-  | None -> false
-  | Some { time; payload = thunk; _ } ->
+  if Heap.is_empty t.events then false
+  else begin
+    let { Heap.time; payload = thunk; _ } = Heap.pop t.events in
     t.now <- time;
     (* Plain [at] thunks run in engine context; process resumptions restore
        their own pid immediately. *)
     set_current t 0;
-    thunk ();
+    with_running t thunk;
     true
+  end
 
 let run ?until t =
   let continue_run () =
@@ -192,13 +229,12 @@ let run ?until t =
     else
       match until with
       | None -> true
-      | Some limit -> (
-        match Heap.peek t.events with
-        | None -> true
-        | Some { time; _ } -> Int64.compare time limit <= 0)
+      | Some limit ->
+        Heap.is_empty t.events
+        || Int64.compare (Heap.top t.events).Heap.time limit <= 0
   in
   let rec loop () = if continue_run () && step t then loop () in
-  loop ();
+  with_running t loop;
   (match until with
   | Some limit when t.fatal = None && Int64.compare t.now limit < 0 ->
     (* Even if the queue drained early, the clock advances to the horizon so

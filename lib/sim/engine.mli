@@ -29,6 +29,11 @@ val create : unit -> t
 val now : t -> int64
 (** Current virtual time in nanoseconds. *)
 
+val process_now : unit -> int64
+(** Virtual time as seen by the calling process: the clock of the engine
+    whose event is running, read without performing an effect. Outside a
+    process it performs the {!Now} effect. {!Proc.now} is this. *)
+
 val live_processes : t -> int
 (** Number of processes that have started and not yet returned. *)
 

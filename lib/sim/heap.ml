@@ -68,16 +68,18 @@ let add t ~time ~seq payload =
   t.size <- t.size + 1;
   sift_up t (t.size - 1)
 
-let peek t = if t.size = 0 then None else Some t.data.(0)
+(* [top] and [pop] return the entry itself, not an option: the engine pops
+   once per event and tests [is_empty] first, so the hot path allocates
+   nothing. *)
+let top t =
+  if t.size = 0 then invalid_arg "Heap.top: empty heap";
+  t.data.(0)
 
 let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.data.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.data.(0) <- t.data.(t.size);
-      sift_down t 0
-    end;
-    Some top
-  end
+  let top = top t in
+  t.size <- t.size - 1;
+  if t.size > 0 then begin
+    t.data.(0) <- t.data.(t.size);
+    sift_down t 0
+  end;
+  top

@@ -15,8 +15,10 @@ val add : 'a t -> time:int64 -> seq:int -> 'a -> unit
 (** [add t ~time ~seq payload] inserts an event. The caller is responsible
     for supplying strictly increasing [seq] values. *)
 
-val peek : 'a t -> 'a entry option
-(** Earliest entry without removing it. *)
+val top : 'a t -> 'a entry
+(** Earliest entry without removing it.
+    @raise Invalid_argument if the heap is empty. *)
 
-val pop : 'a t -> 'a entry option
-(** Remove and return the earliest entry. *)
+val pop : 'a t -> 'a entry
+(** Remove and return the earliest entry.
+    @raise Invalid_argument if the heap is empty. *)

@@ -1,7 +1,7 @@
 (* In-process API: helpers performing the engine's effects. Only valid while
    running inside a process spawned on an {!Engine.t}. *)
 
-let now () = Effect.perform Engine.Now
+let now = Engine.process_now
 
 let delay ns =
   if Int64.compare ns 0L > 0 then Effect.perform (Engine.Delay ns)

@@ -1,8 +1,10 @@
 #!/bin/sh
 # Perf-baseline gate: run the short bench baseline twice and require
 #   1. byte-identical BENCH_HINFS.json artifacts (the virtual clock makes
-#      the whole pipeline deterministic; any divergence is a bug), and
-#   2. the schema's required histogram keys present with nonzero p99s for
+#      the whole pipeline deterministic; any divergence is a bug),
+#   2. the fresh artifact byte-identical to the committed BENCH_HINFS.json
+#      (a change that moves the model must regenerate and commit it), and
+#   3. the schema's required histogram keys present with nonzero p99s for
 #      the core op classes.
 set -eu
 
@@ -24,6 +26,14 @@ if ! cmp -s "$out1" "$out2"; then
 fi
 
 fail=0
+
+# A stale committed artifact fails even when it stays inside the latency
+# gate below: the committed file must be exactly what this tree produces.
+if [ -f BENCH_HINFS.json ] && ! cmp -s BENCH_HINFS.json "$out1"; then
+    echo "bench_check FAIL: committed BENCH_HINFS.json differs from a fresh baseline" >&2
+    diff BENCH_HINFS.json "$out1" | head -40 >&2 || true
+    fail=1
+fi
 
 # Required structural keys.
 for key in '"schema": "hinfs-bench"' '"experiments"' '"latency_ns"' \

@@ -77,6 +77,7 @@ type outcome = {
   o_readmit_lag : int64 option; (* corruption -> Healthy again, ns *)
   o_digest : string; (* final unmounted image *)
   o_crash_checked : bool;
+  o_global_flip : bool; (* the mount-level domain left Healthy *)
 }
 
 let schedule =
@@ -299,6 +300,7 @@ let run_cell ~chaos () =
         o_readmit_lag = readmit_lag;
         o_digest = Digest.bytes (Device.snapshot d);
         o_crash_checked = !captured <> None;
+        o_global_flip = !global_flip;
       })
 
 let () =
@@ -337,6 +339,10 @@ let () =
     fail "transient storm fired no retries (vacuous storm)";
   if not c1.o_crash_checked then
     fail "no crash image captured in the fault window";
+  (* No global flip: faults stay inside their shard's domain. *)
+  if c1.o_global_flip then
+    fail "mount-level domain left Healthy (global read-only flip)";
+  if base.o_global_flip then fail "baseline cell flipped the mount read-only";
   if base.o_quarantines <> 0 || base.o_readmits <> 0 then
     fail "baseline cell saw health transitions without faults";
   Soak.finish soak

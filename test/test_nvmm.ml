@@ -3,6 +3,7 @@
 
 module Engine = Hinfs_sim.Engine
 module Proc = Hinfs_sim.Proc
+module Rng = Hinfs_sim.Rng
 module Stats = Hinfs_stats.Stats
 module Config = Hinfs_nvmm.Config
 module Device = Hinfs_nvmm.Device
@@ -123,6 +124,122 @@ let test_dirty_line_tracking () =
       check_bool "line 1 dirty" true (Device.is_dirty_line d 1);
       Device.clflush d ~cat ~addr:64 ~len:64;
       check_int "clean after flush" 0 (Device.dirty_cachelines d))
+
+(* --- in-place loads and the dirty-line bitmap --- *)
+
+(* Scalar loads read in place; [peek] is the copying reference. Fields sit
+   in clean lines, dirty lines and across a clean/dirty line boundary. *)
+let test_scalar_loads_match_peek () =
+  Testkit.run_sim (fun engine ->
+      let d = Testkit.make_device engine in
+      let size = Device.size d in
+      Device.poke d ~addr:0 ~src:(Testkit.pattern_bytes ~seed:11 512) ~off:0
+        ~len:512;
+      (* Dirty lines 2 and 4 (bytes 128..191 and 256..319) with other
+         content; lines 0, 1 and 3 stay clean. *)
+      let fresh = Testkit.pattern_bytes ~seed:12 64 in
+      Device.write_cached d ~cat ~addr:128 ~src:fresh ~off:0 ~len:64;
+      Device.write_cached d ~cat ~addr:256 ~src:fresh ~off:0 ~len:64;
+      for addr = 0 to 504 do
+        let p n = Device.peek d ~addr ~len:n in
+        check_int "u8" (Bytes.get_uint8 (p 1) 0) (Device.get_u8 d addr);
+        check_int "u16" (Bytes.get_uint16_le (p 2) 0) (Device.get_u16 d addr);
+        check_int "u32"
+          (Int32.to_int (Bytes.get_int32_le (p 4) 0) land 0xFFFFFFFF)
+          (Device.get_u32 d addr);
+        check_i64 "u64" (Bytes.get_int64_le (p 8) 0) (Device.get_u64 d addr);
+        check_int "int"
+          (Int64.to_int (Bytes.get_int64_le (p 8) 0))
+          (Device.get_int d addr)
+      done;
+      let range_error addr n =
+        Invalid_argument
+          (Printf.sprintf "Device: range [%d, %d) out of bounds (size %d)" addr
+             (addr + n) size)
+      in
+      Alcotest.check_raises "u16 past the end" (range_error (size - 1) 2)
+        (fun () -> ignore (Device.get_u16 d (size - 1)));
+      Alcotest.check_raises "u32 negative" (range_error (-4) 4) (fun () ->
+          ignore (Device.get_u32 d (-4)));
+      Alcotest.check_raises "u64 past the end" (range_error (size - 4) 8)
+        (fun () -> ignore (Device.get_u64 d (size - 4)));
+      Alcotest.check_raises "int past the end" (range_error size 8) (fun () ->
+          ignore (Device.get_int d size)))
+
+let test_equal_string_matches_peek () =
+  Testkit.run_sim (fun engine ->
+      let d = Testkit.make_device engine in
+      Device.poke d ~addr:0 ~src:(Testkit.pattern_bytes ~seed:13 512) ~off:0
+        ~len:512;
+      Device.write_cached d ~cat ~addr:100 ~src:(Bytes.make 40 'q') ~off:0
+        ~len:40;
+      let rng = Rng.create ~seed:14L in
+      for _ = 1 to 500 do
+        let addr = Rng.int rng 400 in
+        let len = Rng.int rng 100 in
+        let s = Bytes.to_string (Device.peek d ~addr ~len) in
+        check_bool "equal to its own peek" true (Device.equal_string d ~addr s);
+        if len > 0 then begin
+          let i = Rng.int rng len in
+          let b = Bytes.of_string s in
+          Bytes.set b i (Char.chr ((Char.code s.[i] + 1) land 255));
+          check_bool "one byte off" false
+            (Device.equal_string d ~addr (Bytes.to_string b))
+        end
+      done)
+
+(* The bitmap answers [is_dirty_line]; [dirty_line_addrs] reads the overlay
+   table. They must agree after every kind of store, flush and crash. *)
+let test_dirty_bitmap_mirrors_overlay () =
+  Testkit.run_sim (fun engine ->
+      let d = Testkit.make_device engine in
+      let ls = (Device.config d).Config.cacheline_size in
+      let lines = 64 in
+      let rng = Rng.create ~seed:15L in
+      let agree step =
+        let dirty = Device.dirty_line_addrs d in
+        for idx = 0 to lines + 1 do
+          check_bool
+            (Printf.sprintf "step %d line %d" step idx)
+            (List.mem (idx * ls) dirty) (Device.is_dirty_line d idx)
+        done;
+        check_int "count" (List.length dirty) (Device.dirty_cachelines d)
+      in
+      Device.enable_recording d;
+      for step = 1 to 400 do
+        let addr = Rng.int rng (lines * ls) in
+        let len = 1 + Rng.int rng (4 * ls) in
+        let len = min len ((lines * ls) - addr) in
+        let src = Bytes.make len 'b' in
+        (match Rng.int rng 7 with
+        | 0 | 1 -> Device.write_cached d ~cat ~addr ~src ~off:0 ~len
+        | 2 -> Device.clflush d ~cat ~addr ~len
+        | 3 -> Device.write_nt d ~cat ~addr ~src ~off:0 ~len
+        | 4 -> Device.poke d ~addr ~src ~off:0 ~len
+        | 5 -> Device.poke_flushed d ~addr ~src ~off:0 ~len
+        | _ -> if Rng.int rng 8 = 0 then Device.crash d);
+        agree step
+      done;
+      Device.flush_all_untimed d;
+      agree 0)
+
+(* Allocation guards: a load on a clean or a dirty line allocates nothing.
+   The bound allows a constant for the measurement itself; any per-call
+   allocation would show up as >= [iters] words. *)
+let test_scalar_loads_do_not_allocate () =
+  Testkit.run_sim (fun engine ->
+      let d = Testkit.make_device engine in
+      Device.write_cached d ~cat ~addr:64 ~src:(Bytes.make 8 'x') ~off:0 ~len:8;
+      let iters = 10_000 in
+      let sink = ref 0 in
+      let w0 = Gc.minor_words () in
+      for i = 1 to iters do
+        let addr = if i land 1 = 0 then 64 else 512 in
+        sink := !sink + Device.get_u32 d addr + Device.get_int d addr
+      done;
+      let w1 = Gc.minor_words () in
+      ignore (Sys.opaque_identity !sink);
+      check_bool "no per-load allocation" true (w1 -. w0 < 256.0))
 
 (* --- timing --- *)
 
@@ -291,6 +408,14 @@ let () =
           Alcotest.test_case "dirty line tracking" `Quick
             test_dirty_line_tracking;
           Alcotest.test_case "bounds checking" `Quick test_bounds_checking;
+          Alcotest.test_case "scalar loads match peek" `Quick
+            test_scalar_loads_match_peek;
+          Alcotest.test_case "equal_string matches peek" `Quick
+            test_equal_string_matches_peek;
+          Alcotest.test_case "dirty bitmap mirrors overlay" `Quick
+            test_dirty_bitmap_mirrors_overlay;
+          Alcotest.test_case "scalar loads do not allocate" `Quick
+            test_scalar_loads_do_not_allocate;
         ] );
       ( "timing",
         [

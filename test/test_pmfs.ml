@@ -8,6 +8,9 @@ module Stats = Hinfs_stats.Stats
 module Device = Hinfs_nvmm.Device
 module Pmfs = Hinfs_pmfs.Pmfs
 module Layout = Hinfs_pmfs.Layout
+module Dir = Hinfs_pmfs.Dir
+module Fs_ctx = Hinfs_pmfs.Fs_ctx
+module Block_tree = Hinfs_pmfs.Block_tree
 module Errno = Hinfs_vfs.Errno
 module Types = Hinfs_vfs.Types
 module Vfs = Hinfs_vfs.Vfs
@@ -203,6 +206,100 @@ let test_many_dirents_span_blocks () =
       check_int "after re-create" 200 (List.length (Pmfs.readdir fs ~dir:root));
       check_bool "lookup works" true
         (Pmfs.lookup fs ~dir:root "file001" <> None))
+
+(* Reference for [Dir.find]: a copying scan that reads each 64-byte dirent
+   out with [peek] and compares the decoded name. *)
+let reference_find ctx ~dir name =
+  let device = ctx.Fs_ctx.device and geo = ctx.Fs_ctx.geo in
+  let bs = geo.Layout.block_size in
+  let result = ref None in
+  for fblock = 0 to (Layout.Inode.size device geo dir / bs) - 1 do
+    match Block_tree.lookup ctx ~ino:dir ~fblock with
+    | None -> ()
+    | Some block ->
+      for slot = 0 to (bs / Dir.dirent_size) - 1 do
+        let raw =
+          Device.peek device ~addr:(Dir.dirent_addr ctx block slot)
+            ~len:Dir.dirent_size
+        in
+        let ino = Int32.to_int (Bytes.get_int32_le raw 0) in
+        if
+          !result = None && ino <> 0
+          && Bytes.sub_string raw 6 (Bytes.get_uint16_le raw 4) = name
+        then result := Some (ino, block, slot)
+      done
+  done;
+  !result
+
+(* A directory of names that share prefixes, with deleted slots and some
+   dirents still dirty in the CPU cache: [Dir.find] must agree with the
+   reference on live, deleted, prefix and absent names. *)
+let test_dir_find_matches_reference () =
+  Testkit.run_sim (fun engine ->
+      let d, fs = Testkit.make_pmfs engine in
+      let ctx = Pmfs.ctx fs in
+      let rng = Rng.create ~seed:21L in
+      let dir = Pmfs.mkdir fs ~dir:root "d" in
+      (* "f1", "f1-xxxxxx", "f10-x", ...: many names are prefixes of others. *)
+      let name i =
+        let full = Printf.sprintf "f%d-%s" i (String.make 50 'x') in
+        String.sub full 0 (min (String.length full) (2 + (i mod 7 * 8)))
+      in
+      let names = List.init 300 name |> List.sort_uniq compare in
+      List.iter (fun n -> ignore (Pmfs.create_file fs ~dir n)) names;
+      Device.flush_all_untimed d;
+      List.iter
+        (fun n -> if Rng.int rng 3 = 0 then Pmfs.unlink fs ~dir n)
+        names;
+      for i = 0 to 9 do
+        ignore (Pmfs.create_file fs ~dir (Printf.sprintf "g%d" i))
+      done;
+      (* One entry lives only in the CPU cache: a cached store into the
+         first free slot, never flushed. *)
+      let block, slot = Option.get (Dir.find_free_slot ctx ~dir) in
+      let raw = Bytes.make Dir.dirent_size '\000' in
+      Bytes.set_int32_le raw 0 77l;
+      Bytes.blit_string "cached" 0 raw 6 6;
+      Bytes.set_uint16_le raw 4 6;
+      Device.write_cached d ~cat:Stats.Other
+        ~addr:(Dir.dirent_addr ctx block slot)
+        ~src:raw ~off:0 ~len:Dir.dirent_size;
+      let probes =
+        names
+        @ List.init 10 (Printf.sprintf "g%d")
+        @ [ "cached"; "cache"; "f"; "f1"; "f1-"; "g"; "g10"; "absent" ]
+      in
+      List.iter
+        (fun n ->
+          let expected = reference_find ctx ~dir n in
+          check_bool (Printf.sprintf "find %S" n) true
+            (Dir.find ctx ~dir n = expected))
+        probes;
+      check_bool "cached entry found" true
+        (Dir.find ctx ~dir "cached" = Some (77, block, slot)))
+
+(* Allocation guard: a miss scans all 256 dirents (four blocks) of a clean
+   directory in place; the probe has the entries' name length, so every
+   slot compares its name bytes too. A copying scan allocates ~10 words per
+   dirent; what is left is per call and per block (closures and the
+   block-tree lookups), under one word per dirent. *)
+let test_dir_find_does_not_allocate_per_dirent () =
+  Testkit.run_sim (fun engine ->
+      let d, fs = Testkit.make_pmfs engine in
+      let ctx = Pmfs.ctx fs in
+      let dir = Pmfs.mkdir fs ~dir:root "d" in
+      for i = 0 to 255 do
+        ignore (Pmfs.create_file fs ~dir (Printf.sprintf "entry%03d" i))
+      done;
+      Device.flush_all_untimed d;
+      let iters = 100 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to iters do
+        ignore (Sys.opaque_identity (Dir.find ctx ~dir "entry999"))
+      done;
+      let w1 = Gc.minor_words () in
+      check_bool "no per-dirent allocation" true
+        ((w1 -. w0) /. float_of_int iters < 256.0))
 
 let test_rename () =
   Testkit.run_sim (fun engine ->
@@ -576,6 +673,10 @@ let () =
           Alcotest.test_case "directories" `Quick test_directories;
           Alcotest.test_case "dirents span blocks" `Quick
             test_many_dirents_span_blocks;
+          Alcotest.test_case "find matches copying scan" `Quick
+            test_dir_find_matches_reference;
+          Alcotest.test_case "find does not allocate per dirent" `Quick
+            test_dir_find_does_not_allocate_per_dirent;
           Alcotest.test_case "rename" `Quick test_rename;
           Alcotest.test_case "eexist/enoent" `Quick test_eexist_enoent;
         ] );

@@ -72,6 +72,62 @@ let test_codec_roundtrip () =
   in
   List.iter (fun r -> check_bool "reply" true (roundtrip_reply r = r)) replies
 
+(* Encoded bytes are part of the wire format and of the modelled codec
+   cost (charged by length): every constructor must encode to exactly these
+   bytes. *)
+let test_codec_golden_bytes () =
+  let hex b =
+    String.concat ""
+      (List.map
+         (fun c -> Printf.sprintf "%02x" (Char.code c))
+         (List.of_seq (Bytes.to_seq b)))
+  in
+  let fh = Wire.fh_make ~slot:7 ~gen:3 in
+  let st =
+    {
+      Types.ino = 42;
+      kind = Types.Directory;
+      size = 4096;
+      nlink = 2;
+      blocks = 1;
+      mtime_ns = 123456789L;
+    }
+  in
+  List.iter
+    (fun (r, golden) ->
+      check_string (Wire.req_name r) golden (hex (Wire.encode_req r)))
+    [
+      (Wire.Lookup "/d/f", "0104000000000000002f642f66");
+      (Wire.Getattr fh, "020700000003000000");
+      ( Wire.Read (fh, 8192, 4096),
+        "03070000000300000000200000000000000010000000000000" );
+      ( Wire.Write (fh, 16, "hello", true),
+        "0407000000030000001000000000000000050000000000000068656c6c6f01" );
+      (Wire.Create "/n", "0502000000000000002f6e");
+      (Wire.Remove "/x", "0602000000000000002f78");
+      ( Wire.Rename ("/a", "/bb"),
+        "0702000000000000002f6103000000000000002f6262" );
+      (Wire.Commit fh, "080700000003000000");
+    ];
+  List.iteri
+    (fun i (r, golden) ->
+      check_string (Printf.sprintf "reply %d" i) golden
+        (hex (Wire.encode_reply r)))
+    [
+      ( Wire.R_handle (fh, st),
+        "0107000000030000002a000000000000000100000000000000001000000000000002\
+         00000000000000010000000000000015cd5b0700000000" );
+      ( Wire.R_attr { st with kind = Types.Regular },
+        "022a000000000000000000000000000000001000000000000002000000000000000\
+         10000000000000015cd5b0700000000" );
+      (Wire.R_data "xyz", "03030000000000000078797a");
+      ( Wire.R_written (4096, 0x48694E4653L),
+        "04001000000000000053464e6948000000" );
+      (Wire.R_ok 9L, "050900000000000000");
+      (Wire.R_err Errno.ESTALE, "060c00000000000000");
+      (Wire.R_expired, "07");
+    ]
+
 (* --- helpers --- *)
 
 let expect_handle = function
@@ -334,7 +390,11 @@ let () =
   Alcotest.run "server"
     [
       ( "wire",
-        [ Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip ] );
+        [
+          Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
+          Alcotest.test_case "codec golden bytes" `Quick
+            test_codec_golden_bytes;
+        ] );
       ( "serve",
         [
           Alcotest.test_case "request loop end to end" `Quick test_serve_basic;

@@ -26,11 +26,7 @@ let test_heap_order () =
   add 10L "a";
   add 20L "b";
   add 10L "a2";
-  let pop () =
-    match Heap.pop h with
-    | Some { Heap.payload; _ } -> payload
-    | None -> Alcotest.fail "heap empty"
-  in
+  let pop () = (Heap.pop h).Heap.payload in
   check_int "length" 4 (Heap.length h);
   Alcotest.(check string) "first" "a" (pop ());
   Alcotest.(check string) "fifo at same time" "a2" (pop ());
@@ -47,14 +43,13 @@ let test_heap_random () =
   done;
   let prev = ref (-1L, -1) in
   for _ = 1 to n do
-    match Heap.pop h with
-    | None -> Alcotest.fail "heap drained early"
-    | Some { Heap.time; seq; _ } ->
-      let pt, ps = !prev in
-      check_bool "monotone (time, seq)" true
-        (Int64.compare pt time < 0 || (Int64.equal pt time && ps < seq));
-      prev := (time, seq)
-  done
+    let { Heap.time; seq; _ } = Heap.pop h in
+    let pt, ps = !prev in
+    check_bool "monotone (time, seq)" true
+      (Int64.compare pt time < 0 || (Int64.equal pt time && ps < seq));
+    prev := (time, seq)
+  done;
+  check_bool "drained" true (Heap.is_empty h)
 
 (* --- engine basics --- *)
 
@@ -128,6 +123,51 @@ let test_negative_delay_rejected () =
   (* Negative delays are silently clamped by Proc.delay (returns without
      yielding), so no exception is expected from the helper... *)
   check_bool "no exception from Proc.delay" false !raised
+
+(* [Proc.now] reads the clock of the engine whose event is running. A
+   simulation nested inside a process sees its own clock, then hands the
+   outer one back; an engine-context thunk of the inner engine has no
+   process of its own, so its [Now] effect reaches the enclosing process. *)
+let test_now_nested_runs () =
+  let seen = ref [] in
+  let record tag = seen := (tag, Proc.now ()) :: !seen in
+  Testkit.run_sim (fun _ ->
+      Proc.delay 100L;
+      let inner = Engine.create () in
+      Engine.spawn inner (fun () ->
+          Proc.delay 7L;
+          record "inner process");
+      Engine.at inner 3L (fun () -> record "inner thunk");
+      Engine.run inner;
+      record "outer after";
+      Proc.delay 5L;
+      record "outer later");
+  Alcotest.(check (list (pair string int64)))
+    "clocks"
+    [
+      ("inner thunk", 100L);
+      ("inner process", 7L);
+      ("outer after", 100L);
+      ("outer later", 105L);
+    ]
+    (List.rev !seen);
+  check_bool "outside any process the effect is unhandled" true
+    (match Proc.now () with
+    | _ -> false
+    | exception Effect.Unhandled _ -> true)
+
+(* Allocation guard: reading the clock inside a process allocates nothing. *)
+let test_now_does_not_allocate () =
+  Testkit.run_sim (fun _ ->
+      Proc.delay 42L;
+      let sink = ref 0L in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to 10_000 do
+        sink := Proc.now ()
+      done;
+      let w1 = Gc.minor_words () in
+      check_i64 "clock" 42L !sink;
+      check_bool "no per-call allocation" true (w1 -. w0 < 256.0))
 
 (* --- resources --- *)
 
@@ -384,6 +424,9 @@ let () =
           Alcotest.test_case "run until horizon" `Quick test_run_until_horizon;
           Alcotest.test_case "exception propagates" `Quick
             test_exception_propagates;
+          Alcotest.test_case "now in nested runs" `Quick test_now_nested_runs;
+          Alcotest.test_case "now does not allocate" `Quick
+            test_now_does_not_allocate;
           Alcotest.test_case "negative delay is a no-op" `Quick
             test_negative_delay_rejected;
         ] );

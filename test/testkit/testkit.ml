@@ -77,12 +77,18 @@ module Soak = struct
   type t = { name : string; seed : int64; mutable failures : string list }
 
   (* SOAK_SEED=<int64> overrides [default_seed], to reproduce or widen a
-     failure; every failure message carries the seed that produced it. *)
+     failure; every failure message carries the seed that produced it. An
+     empty value counts as unset; a malformed one stops the soak. *)
   let create ~default_seed name =
     let seed =
       match Sys.getenv_opt "SOAK_SEED" with
-      | Some s -> Int64.of_string s
-      | None -> default_seed
+      | None | Some "" -> default_seed
+      | Some s -> (
+        match Int64.of_string_opt s with
+        | Some seed -> seed
+        | None ->
+          Fmt.epr "%s: SOAK_SEED=%S is not a 64-bit integer@." name s;
+          exit 2)
     in
     { name; seed; failures = [] }
 
