@@ -47,8 +47,8 @@ let cli_shards =
 let spec = { Experiment.default_spec with Experiment.shards = cli_shards }
 
 (* Shorter windows for the large grids. *)
-let grid_duration = 100_000_000L
-let sweep_duration = 60_000_000L
+let grid_duration = 100_000_000
+let sweep_duration = 60_000_000
 
 let filebench_workloads () =
   [
@@ -82,10 +82,10 @@ let fig1 () =
           Experiment.run_workload ~spec ~threads:1 ~duration:grid_duration
             Fixtures.Pmfs_fs workload
         in
-        let total = Int64.to_float (Stats.total_time stats) in
+        let total = float_of_int (Stats.total_time stats) in
         let pct cat =
           if total <= 0.0 then 0.0
-          else 100.0 *. Int64.to_float (Stats.time stats cat) /. total
+          else 100.0 *. float_of_int (Stats.time stats cat) /. total
         in
         let other =
           pct Stats.Other +. pct Stats.Journal +. pct Stats.Block_layer
@@ -538,7 +538,7 @@ let fig12 () =
       in
       let pmfs_total =
         match List.find_opt (fun (k, _) -> k = Fixtures.Pmfs_fs) results with
-        | Some (_, r) -> Int64.to_float r.Trace.r_elapsed_ns
+        | Some (_, r) -> float_of_int r.Trace.r_elapsed_ns
         | None -> 1.0
       in
       Report.table ppf
@@ -549,7 +549,7 @@ let fig12 () =
              [
                Fixtures.name kind;
                Report.ms r.Trace.r_elapsed_ns;
-               Report.f2 (Int64.to_float r.Trace.r_elapsed_ns /. pmfs_total);
+               Report.f2 (float_of_int r.Trace.r_elapsed_ns /. pmfs_total);
                Report.ms r.Trace.r_read_ns;
                Report.ms r.Trace.r_write_ns;
                Report.ms r.Trace.r_unlink_ns;
@@ -584,14 +584,14 @@ let fig13 () =
       in
       let pmfs_total =
         match List.find_opt (fun (k, _) -> k = Fixtures.Pmfs_fs) results with
-        | Some (_, r) -> Int64.to_float r.Workload.jr_elapsed_ns
+        | Some (_, r) -> float_of_int r.Workload.jr_elapsed_ns
         | None -> 1.0
       in
       Report.table ppf ~header:[ "fs"; "elapsed ms"; "vs pmfs"; "" ]
         (List.map
            (fun (kind, r) ->
              let ratio =
-               Int64.to_float r.Workload.jr_elapsed_ns /. pmfs_total
+               float_of_int r.Workload.jr_elapsed_ns /. pmfs_total
              in
              [
                Fixtures.name kind;
@@ -624,7 +624,7 @@ let tab2 () =
      threads; measurement window %.0f ms (virtual).@."
     (spec.Experiment.buffer_bytes / 1048576)
     spec.Experiment.cache_pages spec.Experiment.threads
-    (Int64.to_float spec.Experiment.duration_ns /. 1e6)
+    (float_of_int spec.Experiment.duration_ns /. 1e6)
 
 let tab3 () =
   Report.heading ppf "Table 3: file systems under comparison";
@@ -715,13 +715,13 @@ let serve_cell ~clients ~shards =
             env.Fixtures.engine env.Fixtures.handle
         in
         Server.start srv;
-        let t0 = Hinfs_sim.Proc.now () in
+        let t0 = Hinfs_sim.Proc.now_int () in
         let total = Clients.run env.Fixtures.engine srv cfg in
-        let t1 = Hinfs_sim.Proc.now () in
+        let t1 = Hinfs_sim.Proc.now_int () in
         (* Close the cached opens before teardown unmounts the tree. *)
         Ofcache.drop_all (Server.cache srv);
         Server.stop srv;
-        (total, Int64.sub t1 t0))
+        (total, t1 - t0))
   in
   (total, elapsed_ns, obs)
 
@@ -733,7 +733,7 @@ let serve () =
     List.map
       (fun (clients, shards) ->
         let total, elapsed_ns, obs = serve_cell ~clients ~shards in
-        let secs = Int64.to_float elapsed_ns /. 1e9 in
+        let secs = float_of_int elapsed_ns /. 1e9 in
         let rps = if secs > 0.0 then float_of_int total /. secs else 0.0 in
         let rd = Obs.hist obs Obs.Req_read in
         let wr = Obs.hist obs Obs.Req_write in
@@ -777,7 +777,7 @@ let serve () =
 let baseline () =
   Report.heading ppf
     "Baseline: machine-readable latency/throughput summary (BENCH_HINFS.json)";
-  let duration = 50_000_000L in
+  let duration = 50_000_000 in
   let kinds = [ Fixtures.Hinfs_fs; Fixtures.Pmfs_fs ] in
   let rate_cells =
     [
@@ -940,10 +940,10 @@ let baseline () =
         in
         let result, stats, obs =
           Experiment.run_workload_obs ~spec:sweep_spec ~threads:p
-            ~duration:10_000_000L Fixtures.Hinfs_fs
+            ~duration:10_000_000 Fixtures.Hinfs_fs
             (sweep_workload ~procs:p ~dirs:shards)
         in
-        let secs = Int64.to_float result.Workload.elapsed_ns /. 1e9 in
+        let secs = float_of_int result.Workload.elapsed_ns /. 1e9 in
         let opsec = float_of_int result.Workload.ops /. secs in
         let mbps =
           Int64.to_float (Stats.nvmm_bytes_written stats) /. secs /. 1e6
@@ -965,7 +965,7 @@ let baseline () =
     List.map
       (fun (clients, shards) ->
         let total, elapsed_ns, obs = serve_cell ~clients ~shards in
-        let secs = Int64.to_float elapsed_ns /. 1e9 in
+        let secs = float_of_int elapsed_ns /. 1e9 in
         Fmt.pf ppf
           "serve sweep: %4d clients / %d shards: %6d reqs, %9.0f req/s@."
           clients shards total
@@ -983,7 +983,7 @@ let baseline () =
     [
       ("seed", Ojson.Int (Int64.to_int spec.Experiment.seed));
       ("threads", Ojson.Int 2);
-      ("duration_ns", Ojson.Int (Int64.to_int duration));
+      ("duration_ns", Ojson.Int duration);
       ("nvmm_write_ns", Ojson.Int spec.Experiment.nvmm_write_ns);
       ("buffer_bytes", Ojson.Int spec.Experiment.buffer_bytes);
       ("shards", Ojson.Int spec.Experiment.shards);
@@ -1053,19 +1053,32 @@ let micro () =
     Test.make ~name:"device.get_int"
       (Staged.stage (fun () -> ignore (Hinfs_nvmm.Device.get_int d 4096)))
   in
-  (* One run advances the clock by 1 ns: the looping process wakes from
-     its last delay and performs the next one. *)
-  let proc_delay =
+  (* A process performs [step] forever, advancing the clock [ns] per call;
+     one run covers 1000 calls, so the cost of entering [Engine.run] is
+     spread over them. *)
+  let x1000 name ~ns step =
     let engine = Hinfs_sim.Engine.create () in
     Hinfs_sim.Engine.spawn engine (fun () ->
+        let step = step engine in
         while true do
-          Hinfs_sim.Proc.delay 1L
+          step ()
         done);
-    Test.make ~name:"proc.delay"
+    Test.make ~name
       (Staged.stage (fun () ->
            Hinfs_sim.Engine.run
-             ~until:(Int64.succ (Hinfs_sim.Engine.now engine))
+             ~until:(Hinfs_sim.Engine.now engine + (1000 * ns))
              engine))
+  in
+  let proc_delay =
+    x1000 "proc.delay_int-x1000" ~ns:1 (fun _ () -> Hinfs_sim.Proc.delay_int 1)
+  in
+  let device_mfence =
+    x1000 "device.mfence-x1000" ~ns:small.Hinfs_nvmm.Config.mfence_ns
+      (fun engine ->
+        let d =
+          Hinfs_nvmm.Device.create engine (Hinfs_stats.Stats.create ()) small
+        in
+        fun () -> Hinfs_nvmm.Device.mfence d ~cat:Hinfs_stats.Stats.Other)
   in
   (* A miss scans all 256 dirents of a directory, comparing every name. *)
   let dir_find =
@@ -1101,6 +1114,7 @@ let micro () =
       zipf_sample;
       device_get_int;
       proc_delay;
+      device_mfence;
       dir_find;
       wire_encode;
     ]

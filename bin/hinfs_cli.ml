@@ -87,7 +87,7 @@ let spec_of latency buffer_mb shards =
 
 let print_stats stats =
   Fmt.pr "@.%a@." Stats.pp_breakdown stats;
-  Fmt.pr "user bytes: %Ld written / %Ld read; fsync bytes: %Ld (%.1f%%)@."
+  Fmt.pr "user bytes: %Ld written / %d read; fsync bytes: %d (%.1f%%)@."
     (Stats.user_bytes_written stats)
     (Stats.user_bytes_read stats) (Stats.fsync_bytes stats)
     (100.0 *. Stats.fsync_byte_ratio stats);
@@ -142,7 +142,7 @@ let run fs threads duration_ms latency buffer_mb shards workload_name =
   | `Rate w ->
     let result, stats =
       Experiment.run_workload ~spec ~threads
-        ~duration:(Int64.of_int (duration_ms * 1_000_000))
+        ~duration:(duration_ms * 1_000_000)
         fs w
     in
     Fmt.pr "%a@." Workload.pp_result result;
@@ -191,7 +191,7 @@ let profile fs threads duration_ms latency buffer_mb shards trace_out hist
     | `Rate w ->
       let result, _stats, obs =
         Experiment.run_workload_obs ~spec ~threads
-          ~duration:(Int64.of_int (duration_ms * 1_000_000))
+          ~duration:(duration_ms * 1_000_000)
           ~trace fs w
       in
       Fmt.pr "%a@." Workload.pp_result result;
@@ -710,7 +710,7 @@ let health_run size_mb shards victim =
       Device.set_fault_model device (Some (Fault.create ~seed:42L ()));
       let health = Pmfs.health fs in
       Hinfs_pmfs.Health.set_listener health (fun domain prev next ->
-          Fmt.pr "t=%Ldns  %s: %s -> %s@."
+          Fmt.pr "t=%dns  %s: %s -> %s@."
             (Engine.now engine)
             (Hinfs_pmfs.Health.domain_name domain)
             (Hinfs_pmfs.Health.state_name prev)
@@ -827,17 +827,17 @@ let serve_run fs latency buffer_mb shards clients ops_per_client workers
     Experiment.with_env_obs ~trace:(trace_out <> None) spec fs (fun env ->
         let srv =
           Server.create ~workers ~cache_cap
-            ~lease_ns:(Int64.of_int (lease_ms * 1_000_000))
+            ~lease_ns:(lease_ms * 1_000_000)
             env.Hinfs_harness.Fixtures.engine env.Hinfs_harness.Fixtures.handle
         in
         Server.start srv;
-        let t0 = Hinfs_sim.Proc.now () in
+        let t0 = Hinfs_sim.Proc.now_int () in
         let total = Clients.run env.Hinfs_harness.Fixtures.engine srv cfg in
-        let t1 = Hinfs_sim.Proc.now () in
+        let t1 = Hinfs_sim.Proc.now_int () in
         let cache = Server.cache srv in
         let summary =
           ( total,
-            Int64.sub t1 t0,
+            t1 - t0,
             Server.served srv,
             Server.err_replies srv,
             Server.expired_replies srv,
@@ -855,7 +855,7 @@ let serve_run fs latency buffer_mb shards clients ops_per_client workers
         (fh_live, fh_total, estales), sess_expired ) =
     cell
   in
-  let secs = Int64.to_float elapsed_ns /. 1e9 in
+  let secs = float_of_int elapsed_ns /. 1e9 in
   Fmt.pr "%d requests in %.2f virtual ms: %.0f req/s@." total (secs *. 1e3)
     (if secs > 0.0 then float_of_int total /. secs else 0.0);
   Fmt.pr

@@ -25,7 +25,7 @@ let () =
     List.map
       (fun kind ->
         let result, _stats =
-          Experiment.run_workload ~duration:100_000_000L kind (make ())
+          Experiment.run_workload ~duration:100_000_000 kind (make ())
         in
         (Fixtures.name kind, result.Workload.ops_per_sec))
       Fixtures.paper_five

@@ -42,7 +42,7 @@ let () =
       for _ = 1 to 1000 do
         ignore (h.Vfs.write fd text (Bytes.length text))
       done;
-      let write_time = Int64.sub (Engine.now engine) t0 in
+      let write_time = Engine.now engine - t0 in
 
       (* The writes are sitting in the DRAM buffer: read them back. *)
       h.Vfs.seek fd 0;
@@ -50,7 +50,7 @@ let () =
       ignore (h.Vfs.read fd buf (Bytes.length buf));
       Fmt.pr "first line read back: %s" (Bytes.to_string buf);
       Fmt.pr "1000 lazy writes took %.1f us of virtual time@."
-        (Int64.to_float write_time /. 1e3);
+        (float_of_int write_time /. 1e3);
       Fmt.pr "buffered blocks: %d (dirty: %d), NVMM bytes written so far: %Ld@."
         (Hinfs.Fs.buffered_blocks fs)
         (Hinfs.Fs.dirty_buffered_blocks fs)
@@ -61,7 +61,7 @@ let () =
       let t0 = Engine.now engine in
       h.Vfs.fsync fd;
       Fmt.pr "fsync took %.1f us; NVMM bytes now: %Ld@."
-        (Int64.to_float (Int64.sub (Engine.now engine) t0) /. 1e3)
+        (float_of_int (Engine.now engine - t0) /. 1e3)
         (Stats.nvmm_bytes_written stats);
       h.Vfs.close fd;
 
@@ -70,4 +70,4 @@ let () =
       Fmt.pr "@.time breakdown:@.%a@." Stats.pp_breakdown stats);
   Engine.run engine;
   Fmt.pr "@.simulation finished at t = %.3f ms (virtual)@."
-    (Int64.to_float (Engine.now engine) /. 1e6)
+    (float_of_int (Engine.now engine) /. 1e6)

@@ -79,7 +79,7 @@ let check_block t block =
 
 let charge_request t =
   let ns = (Device.config t.device).Config.block_request_ns in
-  Stats.add_time (Device.stats t.device) Stats.Block_layer (Int64.of_int ns);
+  Stats.add_time (Device.stats t.device) Stats.Block_layer ns;
   Proc.delay_int ns
 
 let read_block t ~cat block ~into ~off =

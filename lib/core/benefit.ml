@@ -34,7 +34,7 @@ type block_meta = {
 
 type file_model = {
   metas : (int, block_meta) Hashtbl.t; (* fblock -> meta *)
-  mutable last_sync : int64;
+  mutable last_sync : int;
   mutable ever_synced : bool;
   mutable default_eager : bool;
       (* the file's most recent majority verdict, applied to blocks created
@@ -50,7 +50,7 @@ type file_model = {
 let create_file_model () =
   {
     metas = Hashtbl.create 16;
-    last_sync = 0L;
+    last_sync = 0;
     ever_synced = false;
     default_eager = false;
     mmap_pinned = false;
@@ -87,7 +87,7 @@ let is_eager file fblock ~now ~eager_decay_ns =
   else begin
     let decayed =
       file.ever_synced
-      && Int64.compare (Int64.sub now file.last_sync) eager_decay_ns > 0
+      && now - file.last_sync > eager_decay_ns
     in
     match Hashtbl.find_opt file.metas fblock with
     | None ->

@@ -19,13 +19,13 @@ val meta_of : file_model -> int -> block_meta
 val record_write : file_model -> int -> lines:Clbitmap.t -> unit
 (** Ghost-buffer accounting for a write covering [lines] of the block. *)
 
-val is_eager : file_model -> int -> now:int64 -> eager_decay_ns:int64 -> bool
+val is_eager : file_model -> int -> now:int -> eager_decay_ns:int -> bool
 (** The checker's verdict for an asynchronous write to the block (case 2);
     applies decay against the file's last sync time. *)
 
 val on_sync :
   file_model ->
-  now:int64 ->
+  now:int ->
   l_dram:int ->
   l_nvmm:int ->
   stats:Hinfs_stats.Stats.t ->

@@ -25,7 +25,7 @@ type block = {
   mutable present : Clbitmap.t;
   mutable dirty : Clbitmap.t;
   mutable home_valid : Clbitmap.t;
-  mutable last_written : int64;
+  mutable last_written : int;
   mutable write_count : int; (* writes since binding (sampled-LFU policy) *)
   mutable pinned : int; (* foreground use / in-flight writeback *)
   mutable in_use : bool;
@@ -54,7 +54,7 @@ let create ~capacity ~block_size ~lines_per_block =
           present = Clbitmap.empty;
           dirty = Clbitmap.empty;
           home_valid = Clbitmap.empty;
-          last_written = 0L;
+          last_written = 0;
           write_count = 0;
           pinned = 0;
           in_use = false;

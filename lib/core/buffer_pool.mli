@@ -17,7 +17,7 @@ type block = {
   mutable present : Clbitmap.t;
   mutable dirty : Clbitmap.t;
   mutable home_valid : Clbitmap.t;
-  mutable last_written : int64;
+  mutable last_written : int;
   mutable write_count : int;  (** writes since binding (for sampled LFU) *)
   mutable pinned : int;  (** foreground use / in-flight writeback *)
   mutable in_use : bool;
@@ -33,14 +33,14 @@ val free_fraction : t -> float
 val block : t -> int -> block
 val lines_per_block : t -> int
 
-val alloc : t -> ino:int -> fblock:int -> home:int -> now:int64 -> block option
+val alloc : t -> ino:int -> fblock:int -> home:int -> now:int -> block option
 (** Take a free block and bind it; [None] when the pool is exhausted (the
     caller stalls on the writeback daemons). *)
 
 val free : t -> block -> unit
 (** @raise Invalid_argument if the block is pinned or not in use. *)
 
-val touch_written : t -> ?policy:Hconfig.replacement -> block -> now:int64 -> unit
+val touch_written : t -> ?policy:Hconfig.replacement -> block -> now:int -> unit
 (** Record a write: moves the block to the MRW end under LRW. *)
 
 val pick_victim : ?policy:Hconfig.replacement -> t -> block option

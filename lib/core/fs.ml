@@ -156,7 +156,7 @@ let buffered_block t fst fblock =
 
 let charge t cat ns =
   if ns > 0 then begin
-    Stats.add_time (stats t) cat (Int64.of_int ns);
+    Stats.add_time (stats t) cat ns;
     Proc.delay_int ns
   end
 
@@ -394,14 +394,14 @@ let daemon_body t sh =
         then reclaim ();
         (* Age-based cleaning: write back (without evicting) blocks whose
            last write is older than the age threshold. *)
-        let cutoff = Int64.sub (now t) t.hcfg.Hconfig.age_flush_ns in
+        let cutoff = now t - t.hcfg.Hconfig.age_flush_ns in
         let stale =
           List.filter
             (fun id ->
               let b = Buffer_pool.block sh.pool id in
               b.Buffer_pool.in_use
               && (not (Clbitmap.is_empty b.Buffer_pool.dirty))
-              && Int64.compare b.Buffer_pool.last_written cutoff <= 0)
+              && b.Buffer_pool.last_written <= cutoff)
             (Buffer_pool.lrw_ids sh.pool)
         in
         List.iter
@@ -458,7 +458,7 @@ let alloc_buffer_block t ~ino ~fblock ~home =
         attempt ()
       end
       else begin
-        ignore (Condvar.wait_timeout sh.free_cv ~timeout:1_000_000L);
+        ignore (Condvar.wait_timeout sh.free_cv ~timeout:1_000_000);
         attempt ()
       end
   in
@@ -475,7 +475,7 @@ let fetch_lines t b lines =
   let nlines = lines_per_block t in
   let home_addr = Pmfs.Data.block_addr t.pmfs b.Buffer_pool.home in
   let needed = Clbitmap.diff lines b.Buffer_pool.present in
-  let obs_t0 = if Obs.enabled () then Proc.now () else 0L in
+  let obs_t0 = Proc.now_int () in
   let from_home = Clbitmap.inter needed b.Buffer_pool.home_valid in
   Clbitmap.iter_set_runs from_home ~nlines (fun ~first ~count ->
       Device.read dev ~cat:Stats.Write_access
@@ -779,7 +779,7 @@ let fsync t ~ino =
    daemons need). *)
 let wait_unpinned b =
   while b.Buffer_pool.pinned > 0 do
-    Proc.delay 1_000L
+    Proc.delay_int 1_000
   done
 
 (* Discard a file's buffered blocks without writing them back (the file is

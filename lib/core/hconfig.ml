@@ -10,9 +10,9 @@ type t = {
   buffer_bytes : int; (* DRAM write buffer capacity *)
   low_watermark : float; (* wake writeback below this free fraction (5%) *)
   high_watermark : float; (* reclaim until this free fraction (20%) *)
-  flush_interval_ns : int64; (* periodic writeback period (5 s) *)
-  age_flush_ns : int64; (* flush blocks dirty for longer than this (30 s) *)
-  eager_decay_ns : int64; (* Eager -> Lazy after this long without sync (5 s) *)
+  flush_interval_ns : int; (* periodic writeback period (5 s) *)
+  age_flush_ns : int; (* flush blocks dirty for longer than this (30 s) *)
+  eager_decay_ns : int; (* Eager -> Lazy after this long without sync (5 s) *)
   writeback_threads : int;
   clfw : bool; (* Cacheline Level Fetch/Writeback *)
   checker : bool; (* Eager-Persistent Write Checker + Buffer Benefit Model *)
@@ -25,9 +25,9 @@ let default =
     buffer_bytes = 64 * 1024 * 1024;
     low_watermark = 0.05;
     high_watermark = 0.20;
-    flush_interval_ns = 5_000_000_000L;
-    age_flush_ns = 30_000_000_000L;
-    eager_decay_ns = 5_000_000_000L;
+    flush_interval_ns = 5_000_000_000;
+    age_flush_ns = 30_000_000_000;
+    eager_decay_ns = 5_000_000_000;
     writeback_threads = 4;
     clfw = true;
     checker = true;

@@ -11,9 +11,9 @@ type t = {
       (** wake the writeback daemons below this free fraction (Low_f, 5%) *)
   high_watermark : float;
       (** daemons reclaim until this free fraction (High_f, 20%) *)
-  flush_interval_ns : int64;  (** periodic writeback wakeup (5 s) *)
-  age_flush_ns : int64;  (** clean blocks dirty for longer than this (30 s) *)
-  eager_decay_ns : int64;
+  flush_interval_ns : int;  (** periodic writeback wakeup (5 s) *)
+  age_flush_ns : int;  (** clean blocks dirty for longer than this (30 s) *)
+  eager_decay_ns : int;
       (** Eager-Persistent decays to Lazy after this long without a sync on
           the file (5 s) *)
   writeback_threads : int;

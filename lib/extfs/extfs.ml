@@ -45,7 +45,7 @@ type t = {
   bbm : Bitmap.t; (* DRAM mirror of the data-block bitmap *)
   ibm : Bitmap.t; (* DRAM mirror of the inode bitmap *)
   sync_mount : bool;
-  commit_interval : int64;
+  commit_interval : int;
   mutable mounted : bool;
   mutable stopping : bool;
   mutable daemons_started : bool;
@@ -55,7 +55,7 @@ let device t = Blockdev.device t.bdev
 let bdev t = t.bdev
 let total_blocks t = t.geo.Elayout.total_blocks
 let stats t = Device.stats (device t)
-let now t = Engine.now (Device.engine (device t))
+let now t = Engine.now64 (Device.engine (device t))
 let block_size t = t.geo.Elayout.block_size
 let mode t = t.mode
 
@@ -68,7 +68,7 @@ let charge_copy t cat len =
       (len + config.Config.cacheline_size - 1) / config.Config.cacheline_size
     in
     let ns = lines * config.Config.dram_read_ns in
-    Stats.add_time (stats t) cat (Int64.of_int ns);
+    Stats.add_time (stats t) cat ns;
     Proc.delay_int ns
   end
 
@@ -799,7 +799,7 @@ let load_bitmap device geo ~start ~blocks ~bits =
   bitmap
 
 let mount device ~mode ?(sync_mount = false) ?(cache_pages = 4096)
-    ?(commit_interval = 5_000_000_000L) () =
+    ?(commit_interval = 5_000_000_000) () =
   let config = Device.config device in
   let block_size = config.Config.block_size in
   let sb = Device.peek_persistent device ~addr:0 ~len:block_size in
@@ -854,7 +854,7 @@ let start_daemons t =
     Proc.spawn ~name:"jbd-commit" (fun () ->
         let rec loop () =
           if not t.stopping then begin
-            Proc.delay t.commit_interval;
+            Proc.delay_int t.commit_interval;
             if not t.stopping then begin
               commit_journal t;
               loop ()

@@ -31,7 +31,7 @@ val mount :
   mode:mode ->
   ?sync_mount:bool ->
   ?cache_pages:int ->
-  ?commit_interval:int64 ->
+  ?commit_interval:int ->
   unit ->
   t
 (** Replays the journal (EXT4 modes), loads the allocation bitmaps, builds
@@ -49,7 +49,7 @@ val mkfs_and_mount :
   ?total_blocks:int ->
   ?sync_mount:bool ->
   ?cache_pages:int ->
-  ?commit_interval:int64 ->
+  ?commit_interval:int ->
   ?daemons:bool ->
   unit ->
   t

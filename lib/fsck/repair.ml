@@ -301,7 +301,7 @@ let start t =
         if not t.stop then begin
           ignore
             (Condvar.wait_timeout t.cv
-               ~timeout:(Int64.of_int t.cfg.interval_ns));
+               ~timeout:t.cfg.interval_ns);
           if not t.stop then pass t;
           loop ()
         end

@@ -17,7 +17,7 @@ type spec = {
   buffer_bytes : int; (* HiNFS DRAM write buffer *)
   cache_pages : int; (* EXT page cache (system memory) *)
   threads : int;
-  duration_ns : int64;
+  duration_ns : int;
   seed : int64;
   shards : int; (* HiNFS hot-state shards (1 = unsharded, the default) *)
 }
@@ -35,7 +35,7 @@ let default_spec =
                                         the paper's 2 GB / 5 GB *)
     cache_pages = 9600 (* 37.5 MB: ~0.6x dataset, the paper's 3 GB / 5 GB *);
     threads = 4;
-    duration_ns = 200_000_000L (* 0.2 virtual seconds *);
+    duration_ns = 200_000_000 (* 0.2 virtual seconds *);
     seed = 42L;
     shards = 1;
   }

@@ -8,7 +8,7 @@ type spec = {
   buffer_bytes : int;  (** HiNFS DRAM write buffer *)
   cache_pages : int;  (** EXT page cache ("system memory") *)
   threads : int;
-  duration_ns : int64;
+  duration_ns : int;
   seed : int64;
   shards : int;  (** HiNFS hot-state shards (1 = unsharded, the default) *)
 }
@@ -26,7 +26,7 @@ val config_of : spec -> Hinfs_nvmm.Config.t
 val run_workload :
   ?spec:spec ->
   ?threads:int ->
-  ?duration:int64 ->
+  ?duration:int ->
   Fixtures.fs_kind ->
   Hinfs_workloads.Workload.t ->
   Hinfs_workloads.Workload.result * Hinfs_stats.Stats.t
@@ -52,7 +52,7 @@ val run_trace :
 
 val with_env_obs :
   ?trace:bool ->
-  ?sampler_period_ns:int64 ->
+  ?sampler_period_ns:int ->
   spec ->
   Fixtures.fs_kind ->
   (Fixtures.env -> 'a) ->
@@ -61,9 +61,9 @@ val with_env_obs :
 val run_workload_obs :
   ?spec:spec ->
   ?threads:int ->
-  ?duration:int64 ->
+  ?duration:int ->
   ?trace:bool ->
-  ?sampler_period_ns:int64 ->
+  ?sampler_period_ns:int ->
   Fixtures.fs_kind ->
   Hinfs_workloads.Workload.t ->
   Hinfs_workloads.Workload.result * Hinfs_stats.Stats.t * Hinfs_obs.Obs.t
@@ -71,7 +71,7 @@ val run_workload_obs :
 val run_job_obs :
   ?spec:spec ->
   ?trace:bool ->
-  ?sampler_period_ns:int64 ->
+  ?sampler_period_ns:int ->
   Fixtures.fs_kind ->
   Hinfs_workloads.Workload.job ->
   Hinfs_workloads.Workload.job_result * Hinfs_stats.Stats.t * Hinfs_obs.Obs.t
@@ -79,7 +79,7 @@ val run_job_obs :
 val run_trace_obs :
   ?spec:spec ->
   ?trace:bool ->
-  ?sampler_period_ns:int64 ->
+  ?sampler_period_ns:int ->
   Fixtures.fs_kind ->
   Hinfs_trace.Trace.t ->
   Hinfs_trace.Trace.replay_result * Hinfs_stats.Stats.t * Hinfs_obs.Obs.t

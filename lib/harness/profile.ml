@@ -38,8 +38,7 @@ let is_op_kind k =
 (* One benchmark cell: a (workload, fs) run with its obs sink. *)
 let experiment_json ~name ~fs ~ops ~elapsed_ns obs =
   let throughput =
-    if Int64.compare elapsed_ns 0L > 0 then
-      float_of_int ops /. (Int64.to_float elapsed_ns /. 1e9)
+    if elapsed_ns > 0 then float_of_int ops /. (float_of_int elapsed_ns /. 1e9)
     else 0.0
   in
   let hists = Obs.nonempty_hists obs in
@@ -53,7 +52,7 @@ let experiment_json ~name ~fs ~ops ~elapsed_ns obs =
       ("name", Ojson.String name);
       ("fs", Ojson.String fs);
       ("ops", Ojson.Int ops);
-      ("elapsed_ns", Ojson.Int (Int64.to_int elapsed_ns));
+      ("elapsed_ns", Ojson.Int elapsed_ns);
       ("throughput_ops_per_sec", Ojson.Float throughput);
       ("latency_ns", hist_obj ops_h);
       ("phases_ns", hist_obj phases_h);

@@ -12,7 +12,7 @@ val experiment_json :
   name:string ->
   fs:string ->
   ops:int ->
-  elapsed_ns:int64 ->
+  elapsed_ns:int ->
   Hinfs_obs.Obs.t ->
   Hinfs_obs.Ojson.t
 (** One benchmark cell: throughput plus latency histograms split into

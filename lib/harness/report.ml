@@ -189,5 +189,5 @@ let gauges ppf obs =
 let f1 v = Fmt.str "%.1f" v
 let f2 v = Fmt.str "%.2f" v
 let f0 v = Fmt.str "%.0f" v
-let ms ns = Fmt.str "%.2f" (Int64.to_float ns /. 1e6)
+let ms ns = Fmt.str "%.2f" (float_of_int ns /. 1e6)
 let pct v = Fmt.str "%.1f%%" (100.0 *. v)

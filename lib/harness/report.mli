@@ -37,7 +37,7 @@ val gauges : Format.formatter -> Hinfs_obs.Obs.t -> unit
 val f0 : float -> string
 val f1 : float -> string
 val f2 : float -> string
-val ms : int64 -> string
+val ms : int -> string
 (** Nanoseconds rendered as milliseconds with two decimals. *)
 
 val pct : float -> string

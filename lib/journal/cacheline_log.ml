@@ -425,7 +425,7 @@ let start_cleaner t =
       let rec loop () =
         if not t.stop_cleaner then begin
           if Queue.is_empty t.pending_clean then
-            ignore (Condvar.wait_timeout cv ~timeout:100_000_000L);
+            ignore (Condvar.wait_timeout cv ~timeout:100_000_000);
           drain_pending ~background:true t;
           loop ()
         end

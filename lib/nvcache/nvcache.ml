@@ -248,7 +248,7 @@ let charge_nvmm_read t ~cat len =
     let config = Device.config t.device in
     let lines = (len + line - 1) / line in
     let ns = lines * config.Config.dram_read_ns in
-    Stats.add_time (Device.stats t.device) cat (Int64.of_int ns);
+    Stats.add_time (Device.stats t.device) cat ns;
     Proc.delay_int ns
   end
 

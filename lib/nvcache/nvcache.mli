@@ -69,7 +69,7 @@ val mkfs_and_mount :
   ?inodes_per_mb:int ->
   ?sync_mount:bool ->
   ?cache_pages:int ->
-  ?commit_interval:int64 ->
+  ?commit_interval:int ->
   ?daemons:bool ->
   unit ->
   stack
@@ -84,7 +84,7 @@ val mount :
   ?cache_bytes:int ->
   ?sync_mount:bool ->
   ?cache_pages:int ->
-  ?commit_interval:int64 ->
+  ?commit_interval:int ->
   ?daemons:bool ->
   unit ->
   stack

@@ -133,11 +133,23 @@ let check_range t ~addr ~len =
     Fmt.invalid_arg "Device: range [%d, %d) out of bounds (size %d)" addr
       (addr + len) (size t)
 
-let charge t cat f =
-  let t0 = Proc.now () in
-  let result = f () in
-  Stats.add_time t.stats cat (Int64.sub (Proc.now ()) t0);
-  result
+(* Timed ops charge their virtual time to [cat] inline. A plain delay
+   advances the clock by exactly its length, so [spend] adds [ns] without
+   reading the clock; a wait for a bandwidth slot is measured instead. *)
+let spend t cat ns =
+  Proc.delay_int ns;
+  Stats.add_time t.stats cat ns
+
+(* Stream [lines] cachelines to the medium under one bandwidth slot. *)
+let stream t lines =
+  let t0 = Proc.now_int () in
+  Resource.acquire t.bandwidth 1;
+  Obs.span_since Obs.Slot_wait ~t0;
+  match Proc.delay_int (lines * t.config.Config.nvmm_write_ns) with
+  | () -> Resource.release t.bandwidth 1
+  | exception e ->
+    Resource.release t.bandwidth 1;
+    raise e
 
 (* --- volatile overlay helpers ---
 
@@ -421,8 +433,7 @@ let read t ~cat ~addr ~len ~into ~off =
     invalid_arg "Device.read: destination range out of bounds";
   if len > 0 then begin
     let lines = Config.cachelines_in t.config ~addr ~len in
-    charge t cat (fun () ->
-        Proc.delay_int (lines * t.config.Config.dram_read_ns));
+    spend t cat (lines * t.config.Config.dram_read_ns);
     (* The loads have happened: poisoned/transient-faulting lines machine-
        check here, after the access paid its latency. *)
     fault_check_load t ~addr ~len;
@@ -459,17 +470,15 @@ let write_nt ?(background = false) t ~cat ~addr ~src ~off ~len =
     invalid_arg "Device.write_nt: source range out of bounds";
   if len > 0 then begin
     let lines = Config.cachelines_in t.config ~addr ~len in
-    charge t cat (fun () ->
-        let t0 = if Obs.enabled () then Proc.now () else 0L in
-        Resource.with_resource t.bandwidth 1 (fun () ->
-            Obs.span_since Obs.Slot_wait ~t0;
-            Proc.delay_int (lines * t.config.Config.nvmm_write_ns)));
+    let t0 = Proc.now_int () in
+    stream t lines;
+    Stats.add_time t.stats cat (Proc.now_int () - t0);
     record_nt_pre t ~addr ~len;
     Bytes.blit src off t.persistent addr len;
     invalidate_cached t ~addr ~src ~off ~len;
     record_nt_post t ~addr ~len;
     fault_store_range t ~addr ~len;
-    Stats.add_nvmm_written ~background t.stats len
+    Stats.add_nvmm_written t.stats ~background len
   end
 
 let write_cached t ~cat ~addr ~src ~off ~len =
@@ -478,8 +487,7 @@ let write_cached t ~cat ~addr ~src ~off ~len =
     invalid_arg "Device.write_cached: source range out of bounds";
   if len > 0 then begin
     let lines = Config.cachelines_in t.config ~addr ~len in
-    charge t cat (fun () ->
-        Proc.delay_int (lines * t.config.Config.dram_write_ns));
+    spend t cat (lines * t.config.Config.dram_write_ns);
     let ls = line_size t in
     let first = addr / ls and last = (addr + len - 1) / ls in
     for idx = first to last do
@@ -513,28 +521,23 @@ let clflush ?(background = false) t ~cat ~addr ~len =
     done;
     let total_lines = last - first + 1 in
     Stats.add_clflush t.stats cat ~lines:total_lines ~dirty:!dirty;
-    let obs_t0 = if Obs.enabled () then Proc.now () else 0L in
-    charge t cat (fun () ->
-        Proc.delay_int (total_lines * t.config.Config.clflush_issue_ns);
-        if !dirty > 0 then begin
-          let t0 = if Obs.enabled () then Proc.now () else 0L in
-          Resource.with_resource t.bandwidth 1 (fun () ->
-              Obs.span_since Obs.Slot_wait ~t0;
-              Proc.delay_int (!dirty * t.config.Config.nvmm_write_ns))
-        end);
-    Obs.span_since Obs.Flush ~t0:obs_t0;
+    let t0 = Proc.now_int () in
+    Proc.delay_int (total_lines * t.config.Config.clflush_issue_ns);
+    if !dirty > 0 then stream t !dirty;
+    Stats.add_time t.stats cat (Proc.now_int () - t0);
+    Obs.span_since Obs.Flush ~t0;
     for idx = first to last do
       persist_line t idx
     done;
     if !dirty > 0 then
-      Stats.add_nvmm_written ~background t.stats (!dirty * ls)
+      Stats.add_nvmm_written t.stats ~background (!dirty * ls)
   end
 
 let mfence t ~cat =
   Stats.add_mfence t.stats cat;
-  let obs_t0 = if Obs.enabled () then Proc.now () else 0L in
-  charge t cat (fun () -> Proc.delay_int t.config.Config.mfence_ns);
-  Obs.span_since Obs.Fence ~t0:obs_t0;
+  let t0 = Proc.now_int () in
+  spend t cat t.config.Config.mfence_ns;
+  Obs.span_since Obs.Fence ~t0;
   record_fence t
 
 (* --- small typed accessors (metadata fields) --- *)

@@ -197,12 +197,12 @@ let ev_name = function
   | Ev_estale -> "server.estale"
   | Ev_oc_evict -> "server.oc_evict"
 
-type frame = { fkind : kind; t0 : int64 }
+type frame = { fkind : kind; t0 : int }
 
 type event =
-  | Span of { skind : kind; pid : int; t0 : int64; t1 : int64 }
-  | Inst of { ekind : ev; pid : int; t : int64; a : int; b : int }
-  | Sample of { name : string; t : int64; v : int }
+  | Span of { skind : kind; pid : int; t0 : int; t1 : int }
+  | Inst of { ekind : ev; pid : int; t : int; a : int; b : int }
+  | Sample of { name : string; t : int; v : int }
 
 type t = {
   engine : Engine.t;
@@ -284,7 +284,7 @@ let span_begin kind =
 
 let record_closed o ~kind ~pid ~t0 =
   let t1 = Engine.now o.engine in
-  Hist.record o.hists.(kind_index kind) (Int64.to_int (Int64.sub t1 t0));
+  Hist.record o.hists.(kind_index kind) (t1 - t0);
   if o.trace then push_event o (Span { skind = kind; pid; t0; t1 })
 
 let span_end kind =
@@ -366,18 +366,18 @@ let counter_summaries o =
   Hashtbl.fold (fun name h acc -> (name, Hist.summarize h) :: acc) o.counters []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let start_sampler ?(period_ns = 1_000_000L) o ~gauges =
+let start_sampler ?(period_ns = 1_000_000) o ~gauges =
   let stop = ref false in
   Engine.spawn o.engine ~name:"obs-sampler" (fun () ->
       while not !stop do
         List.iter (fun (name, read) -> counter name (read ())) gauges;
-        Proc.delay period_ns
+        Proc.delay_int period_ns
       done);
   fun () -> stop := true
 
 (* --- export --- *)
 
-let us_of_ns ns = Int64.to_float ns /. 1000.0
+let us_of_ns ns = float_of_int ns /. 1000.0
 
 let chrome_trace o =
   let events = List.rev o.events in
@@ -414,7 +414,7 @@ let chrome_trace o =
           ("pid", Ojson.Int 0);
           ("tid", Ojson.Int pid);
           ("ts", Ojson.Float (us_of_ns t0));
-          ("dur", Ojson.Float (us_of_ns (Int64.sub t1 t0)));
+          ("dur", Ojson.Float (us_of_ns (t1 - t0)));
         ]
     | Inst { ekind; pid; t; a; b } ->
       Ojson.Obj

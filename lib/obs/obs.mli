@@ -107,7 +107,7 @@ val span_end : kind -> unit
     innermost frame; a kind mismatch or pop of an empty stack increments
     {!mismatches} instead of raising. *)
 
-val span_since : kind -> t0:int64 -> unit
+val span_since : kind -> t0:int -> unit
 (** Record a completed span from [t0] to now on the current process without
     touching the span stack. For leaf phases measured around a wait (e.g.
     bandwidth-slot acquisition) where begin/end bracketing is awkward. *)
@@ -142,7 +142,7 @@ val counter_summaries : t -> (string * Hist.summary) list
 (** Per-counter sample statistics, sorted by counter name. *)
 
 val start_sampler :
-  ?period_ns:int64 -> t -> gauges:(string * (unit -> int)) list -> unit -> unit
+  ?period_ns:int -> t -> gauges:(string * (unit -> int)) list -> unit -> unit
 (** [start_sampler t ~gauges] spawns a simulation process sampling every
     gauge each [period_ns] (default 1 ms of virtual time) into {!counter}.
     Returns a stop function; the sampler exits at its next tick after stop,

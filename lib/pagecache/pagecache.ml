@@ -28,7 +28,7 @@ type page = {
   mutable writing : bool; (* device write in flight *)
   mutable dirty : bool;
   mutable pinned : int; (* >0: not evictable (in use / journaled) *)
-  mutable dirtied_at : int64;
+  mutable dirtied_at : int;
   (* Dirty byte run since the page was last clean ([d_min >= d_max] when
      clean). Writeback passes it down so a logging tier can absorb a
      sub-block record instead of the whole page. *)
@@ -45,7 +45,7 @@ type t = {
   mutable flusher_running : bool;
   mutable stop_flusher : bool;
   (* knobs (pdflush-like defaults) *)
-  flush_interval : int64; (* periodic writeback period *)
+  flush_interval : int; (* periodic writeback period *)
   dirty_ratio : float; (* wake the flusher above this *)
   dirty_background_ratio : float; (* flusher cleans down to this *)
   (* statistics *)
@@ -54,7 +54,7 @@ type t = {
   mutable foreground_writebacks : int;
 }
 
-let create ?(flush_interval = 5_000_000_000L) ?(dirty_ratio = 0.2)
+let create ?(flush_interval = 5_000_000_000) ?(dirty_ratio = 0.2)
     ?(dirty_background_ratio = 0.1) bdev ~capacity_pages =
   if capacity_pages < 8 then
     invalid_arg "Pagecache.create: capacity too small";
@@ -88,7 +88,7 @@ let charge_copy t cat len =
       (len + config.Config.cacheline_size - 1) / config.Config.cacheline_size
     in
     let ns = lines * config.Config.dram_write_ns in
-    Stats.add_time (Device.stats (Blockdev.device t.bdev)) cat (Int64.of_int ns);
+    Stats.add_time (Device.stats (Blockdev.device t.bdev)) cat ns;
     Proc.delay_int ns
   end
 
@@ -176,7 +176,7 @@ let get_page ?(fetch = true) t ~cat block =
     (* Another process may still be fetching this page: wait for the data
        to be valid before exposing it. *)
     while not page.valid do
-      Proc.delay 200L
+      Proc.delay_int 200
     done;
     page
   | None ->
@@ -191,7 +191,7 @@ let get_page ?(fetch = true) t ~cat block =
         writing = false;
         dirty = false;
         pinned = 1;
-        dirtied_at = 0L;
+        dirtied_at = 0;
         d_min = block_size t;
         d_max = 0;
       }
@@ -299,7 +299,7 @@ let invalidate t block =
   (match Lru.find t.pages block with
   | Some page ->
     while page.writing do
-      Proc.delay 500L
+      Proc.delay_int 500
     done;
     mark_clean t page;
     ignore (Lru.remove t.pages block)
@@ -323,7 +323,7 @@ let start_flusher t =
             Lru.iter t.pages (fun _ page ->
                 if page.dirty then dirty := page :: !dirty);
             let ordered =
-              List.sort (fun a b -> Int64.compare a.dirtied_at b.dirtied_at)
+              List.sort (fun a b -> Int.compare a.dirtied_at b.dirtied_at)
                 !dirty
             in
             let rec clean pages =

@@ -9,7 +9,7 @@ type t
 type page
 
 val create :
-  ?flush_interval:int64 ->
+  ?flush_interval:int ->
   ?dirty_ratio:float ->
   ?dirty_background_ratio:float ->
   Hinfs_blockdev.Blockdev.t ->

@@ -25,31 +25,34 @@ let ptrs_per_node ctx = ctx.Fs_ctx.geo.Layout.block_size / 8
 
 (* Number of file blocks addressable at the given height. *)
 let tree_capacity ctx height =
-  if height = 0 then 1
-  else begin
-    let p = ptrs_per_node ctx in
-    let rec pow acc h = if h = 0 then acc else pow (acc * p) (h - 1) in
-    pow 1 height
-  end
+  let p = ptrs_per_node ctx in
+  let capacity = ref 1 in
+  for _ = 1 to height do
+    capacity := !capacity * p
+  done;
+  !capacity
 
 let ptr_addr ctx node_block slot =
   Fs_ctx.block_addr ctx node_block + (slot * 8)
 
 let read_ptr ctx node_block slot =
-  Int64.to_int (Device.get_u64 ctx.Fs_ctx.device (ptr_addr ctx node_block slot))
+  Device.get_int ctx.Fs_ctx.device (ptr_addr ctx node_block slot)
 
 (* Journal the old pointer (into the file's home-shard log), then update
    it in place. *)
 let write_ptr ctx log txn node_block slot value =
   let addr = ptr_addr ctx node_block slot in
   Log.log log txn ~addr ~len:8;
-  Device.set_u64 ctx.Fs_ctx.device ~cat:mcat addr (Int64.of_int value)
+  Device.set_int ctx.Fs_ctx.device ~cat:mcat addr value
 
 (* Slot index at [level] (1 = leaf pointer level) for a file block. *)
 let slot_at ctx ~level fblock =
   let p = ptrs_per_node ctx in
-  let rec shift acc l = if l <= 1 then acc else shift (acc / p) (l - 1) in
-  shift fblock level mod p
+  let q = ref fblock in
+  for _ = 2 to level do
+    q := !q / p
+  done;
+  !q mod p
 
 let alloc_block ctx ~shard =
   match Fs_ctx.alloc_block ctx ~shard with
@@ -68,6 +71,13 @@ let alloc_index_node ctx ~shard =
 
 (* --- lookup --- *)
 
+(* Descend from [node] at [level] to the pointer [fblock] resolves to; 0 is
+   a hole. Top-level and closure-free, so a lookup allocates only its
+   result. *)
+let rec walk ctx fblock node level =
+  let ptr = read_ptr ctx node (slot_at ctx ~level fblock) in
+  if ptr = 0 || level = 1 then ptr else walk ctx fblock ptr (level - 1)
+
 let lookup ctx ~ino ~fblock =
   if fblock < 0 then invalid_arg "Block_tree.lookup: negative file block";
   let device = ctx.Fs_ctx.device in
@@ -77,16 +87,9 @@ let lookup ctx ~ino ~fblock =
   if root = 0 then None
   else if fblock >= tree_capacity ctx height then None
   else if height = 0 then if fblock = 0 then Some root else None
-  else begin
-    let rec walk node level =
-      let slot = slot_at ctx ~level fblock in
-      let ptr = read_ptr ctx node slot in
-      if ptr = 0 then None
-      else if level = 1 then Some ptr
-      else walk ptr (level - 1)
-    in
-    walk root height
-  end
+  else
+    let ptr = walk ctx fblock root height in
+    if ptr = 0 then None else Some ptr
 
 (* --- growth and insertion --- *)
 
@@ -114,7 +117,7 @@ let grow ctx log txn ~ino ~fblock ~allocated ~undo =
     let root = Layout.Inode.tree_root device geo ino in
     let node = alloc_index_node ctx ~shard in
     allocated := node :: !allocated;
-    Device.set_u64 device ~cat:mcat (ptr_addr ctx node 0) (Int64.of_int root);
+    Device.set_int device ~cat:mcat (ptr_addr ctx node 0) root;
     Device.clflush device ~cat:mcat ~addr:(ptr_addr ctx node 0) ~len:8;
     Log.log log txn ~addr:inode_addr ~len:24;
     Layout.Inode.set_height device ~cat:mcat geo ino (height + 1);

@@ -127,7 +127,7 @@ let check_writable t =
   | Some reason ->
     Errno.raise_error EROFS "file system is read-only: %s" reason
 
-let now t = Engine.now (Device.engine t.device)
+let now t = Engine.now64 (Device.engine t.device)
 let baddr t b = b * t.bs
 let ptrs_per_block t = t.bs / 8
 let inodes_per_page t = t.bs / inode_size
@@ -137,7 +137,7 @@ let snap_capacity t = t.bs / 32
 
 (* --- raw field I/O: untimed loads, non-temporal (persistent) stores --- *)
 
-let get_u64i t addr = Int64.to_int (Device.get_u64 t.device addr)
+let get_u64i t addr = Device.get_int t.device addr
 
 let put_bytes t ~cat ~addr src =
   Device.write_nt t.device ~cat ~addr ~src ~off:0 ~len:(Bytes.length src)
@@ -189,7 +189,7 @@ let charge_copy t cat len =
       (len + config.Config.cacheline_size - 1) / config.Config.cacheline_size
     in
     let ns = lines * config.Config.dram_read_ns in
-    Stats.add_time (Device.stats t.device) cat (Int64.of_int ns);
+    Stats.add_time (Device.stats t.device) cat ns;
     Proc.delay_int ns
   end
 
@@ -302,13 +302,13 @@ let shadow_inode t ~cat ino =
 
 (* Read accessors against an arbitrary imap root (working tree, or a
    snapshot's pinned tree). *)
-let ifield_u64 t ~imap ino off =
+let ifield t ~imap ino off =
   match inode_addr_at t ~imap ino with
-  | None -> 0L
-  | Some ia -> Device.get_u64 t.device (ia + off)
+  | None -> 0
+  | Some ia -> get_u64i t (ia + off)
 
-let isize_at t ~imap ino = Int64.to_int (ifield_u64 t ~imap ino F.size_off)
-let itree_at t ~imap ino = Int64.to_int (ifield_u64 t ~imap ino F.tree_root_off)
+let isize_at t ~imap ino = ifield t ~imap ino F.size_off
+let itree_at t ~imap ino = ifield t ~imap ino F.tree_root_off
 
 let iheight_at t ~imap ino =
   match inode_addr_at t ~imap ino with
@@ -334,9 +334,9 @@ let stat_of t ino =
       (if Device.get_u8 t.device (ia + F.kind_off) = F.kind_directory then
          Types.Directory
        else Types.Regular);
-    size = Int64.to_int (Device.get_u64 t.device (ia + F.size_off));
+    size = Device.get_int t.device (ia + F.size_off);
     nlink = Device.get_u16 t.device (ia + F.links_off);
-    blocks = Int64.to_int (Device.get_u64 t.device (ia + F.blocks_off));
+    blocks = Device.get_int t.device (ia + F.blocks_off);
     mtime_ns = Device.get_u64 t.device (ia + F.mtime_off);
   }
 
@@ -375,7 +375,7 @@ let lookup_block_at t ~imap ~ino ~fblock =
 (* Find-or-create the (shadowed, writable) home block of [fblock]. [ia] is
    the inode's shadowed field address. Returns [(block, fresh)]. *)
 let ensure_data_block t ~cat ~ia ~fblock ~full =
-  let root = ref (Int64.to_int (Device.get_u64 t.device (ia + F.tree_root_off))) in
+  let root = ref (Device.get_int t.device (ia + F.tree_root_off)) in
   let height = ref (Device.get_u32 t.device (ia + F.height_off)) in
   let set_root v = put_u64i t ~cat (ia + F.tree_root_off) v in
   let set_height v = put_u32 t ~cat (ia + F.height_off) v in
@@ -463,7 +463,7 @@ let rec drop_subtree t root level =
    path, zeroes the leaf slot, drops the block. Empty interior nodes are
    left in place. Returns true if a data block was dropped. *)
 let zap_data_block t ~cat ~ia ~fblock =
-  let root = Int64.to_int (Device.get_u64 t.device (ia + F.tree_root_off)) in
+  let root = Device.get_int t.device (ia + F.tree_root_off) in
   let height = Device.get_u32 t.device (ia + F.height_off) in
   if root = 0 then false
   else if height = 0 then
@@ -579,11 +579,10 @@ let dir_add t ~cat ~dir ~dir_ia name ~ino =
         let nblocks = isize_at t ~imap:t.imap_root dir / t.bs in
         let b, fresh = ensure_data_block t ~cat ~ia:dir_ia ~fblock:nblocks ~full:true in
         if fresh then zero_block t ~cat b;
-        put_u64 t ~cat (dir_ia + F.size_off)
-          (Int64.of_int ((nblocks + 1) * t.bs));
+        put_u64i t ~cat (dir_ia + F.size_off) ((nblocks + 1) * t.bs);
         if fresh then
-          put_u64 t ~cat (dir_ia + F.blocks_off)
-            (Int64.add (Device.get_u64 t.device (dir_ia + F.blocks_off)) 1L);
+          put_u64i t ~cat (dir_ia + F.blocks_off)
+            (get_u64i t (dir_ia + F.blocks_off) + 1);
         (nblocks, 0))
   in
   let block, _fresh = ensure_data_block t ~cat ~ia:dir_ia ~fblock ~full:false in
@@ -1012,7 +1011,7 @@ let mkdir t ~dir name =
    the allocator only after the commit is durable. *)
 let free_inode t ~cat ino =
   let ia = shadow_inode t ~cat ino in
-  let root = Int64.to_int (Device.get_u64 t.device (ia + F.tree_root_off)) in
+  let root = Device.get_int t.device (ia + F.tree_root_off) in
   let height = Device.get_u32 t.device (ia + F.height_off) in
   drop_subtree t root height;
   put_bytes t ~cat ~addr:ia (Bytes.make inode_size '\000');
@@ -1153,7 +1152,7 @@ let write t ~ino ~off ~src ~src_off ~len ~sync:_ =
       else begin
         let cat = Stats.Write_access in
         let ia = shadow_inode t ~cat ino in
-        let size = Int64.to_int (Device.get_u64 t.device (ia + F.size_off)) in
+        let size = Device.get_int t.device (ia + F.size_off) in
         (* Extending past EOF: scrub the stale tail of the current last
            block so the gap reads as zeros afterwards. *)
         if off > size && size mod t.bs <> 0 then begin
@@ -1194,12 +1193,10 @@ let write t ~ino ~off ~src ~src_off ~len ~sync:_ =
           done_ := !done_ + chunk
         done;
         if off + len > size then
-          put_u64 t ~cat (ia + F.size_off) (Int64.of_int (off + len));
+          put_u64i t ~cat (ia + F.size_off) (off + len);
         if !fresh_blocks > 0 then
-          put_u64 t ~cat (ia + F.blocks_off)
-            (Int64.add
-               (Device.get_u64 t.device (ia + F.blocks_off))
-               (Int64.of_int !fresh_blocks));
+          put_u64i t ~cat (ia + F.blocks_off)
+            (get_u64i t (ia + F.blocks_off) + !fresh_blocks);
         put_u64 t ~cat (ia + F.mtime_off) (now t);
         len
       end)
@@ -1211,7 +1208,7 @@ let truncate t ~ino ~size =
         Errno.raise_error EISDIR "inode %d is a directory" ino;
       let cat = mcat in
       let ia = shadow_inode t ~cat ino in
-      let old = Int64.to_int (Device.get_u64 t.device (ia + F.size_off)) in
+      let old = Device.get_int t.device (ia + F.size_off) in
       if size < old then begin
         let keep = (size + t.bs - 1) / t.bs in
         let had = (old + t.bs - 1) / t.bs in
@@ -1220,10 +1217,8 @@ let truncate t ~ino ~size =
           if zap_data_block t ~cat ~ia ~fblock then incr dropped
         done;
         if !dropped > 0 then
-          put_u64 t ~cat (ia + F.blocks_off)
-            (Int64.sub
-               (Device.get_u64 t.device (ia + F.blocks_off))
-               (Int64.of_int !dropped));
+          put_u64i t ~cat (ia + F.blocks_off)
+            (get_u64i t (ia + F.blocks_off) - !dropped);
         (* Zero the tail of the (kept) last partial block. *)
         if size mod t.bs <> 0 then begin
           match lookup_block_at t ~imap:t.imap_root ~ino ~fblock:(size / t.bs) with
@@ -1238,7 +1233,7 @@ let truncate t ~ino ~size =
               (Bytes.make (t.bs - boff) '\000')
         end
       end;
-      if size <> old then put_u64 t ~cat (ia + F.size_off) (Int64.of_int size);
+      if size <> old then put_u64i t ~cat (ia + F.size_off) size;
       touch t ~cat ia)
 
 let fsync t ~ino =

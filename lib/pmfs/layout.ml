@@ -297,16 +297,16 @@ module Inode = struct
     Device.get_u32 device (addr geometry ino + height_off)
 
   let size device geometry ino =
-    Int64.to_int (Device.get_u64 device (addr geometry ino + size_off))
+    Device.get_int device (addr geometry ino + size_off)
 
   let tree_root device geometry ino =
-    Int64.to_int (Device.get_u64 device (addr geometry ino + tree_root_off))
+    Device.get_int device (addr geometry ino + tree_root_off)
 
   let mtime device geometry ino =
     Device.get_u64 device (addr geometry ino + mtime_off)
 
   let blocks device geometry ino =
-    Int64.to_int (Device.get_u64 device (addr geometry ino + blocks_off))
+    Device.get_int device (addr geometry ino + blocks_off)
 
   (* Setters: plain cached stores; callers wrap them in journal
      transactions and the journal's commit flushes them. *)
@@ -323,14 +323,14 @@ module Inode = struct
     Device.set_u32 device ~cat (addr geometry ino + height_off) v
 
   let set_size device ~cat geometry ino v =
-    Device.set_u64 device ~cat (addr geometry ino + size_off) (Int64.of_int v)
+    Device.set_int device ~cat (addr geometry ino + size_off) v
 
   let set_tree_root device ~cat geometry ino v =
-    Device.set_u64 device ~cat (addr geometry ino + tree_root_off) (Int64.of_int v)
+    Device.set_int device ~cat (addr geometry ino + tree_root_off) v
 
   let set_mtime device ~cat geometry ino v =
     Device.set_u64 device ~cat (addr geometry ino + mtime_off) v
 
   let set_blocks device ~cat geometry ino v =
-    Device.set_u64 device ~cat (addr geometry ino + blocks_off) (Int64.of_int v)
+    Device.set_int device ~cat (addr geometry ino + blocks_off) v
 end

@@ -162,7 +162,7 @@ let read_retrying t ~cat ~addr ~len ~into ~off =
       let backoff = Fault.retry_backoff_ns policy ~attempt in
       if backoff > 0 then begin
         let t0 = Engine.now (Device.engine (device t)) in
-        Stats.add_time stats cat (Int64.of_int backoff);
+        Stats.add_time stats cat backoff;
         Proc.delay_int backoff;
         Obs.span_since Obs.Dev_retry ~t0
       end;
@@ -179,7 +179,7 @@ let read_retrying t ~cat ~addr ~len ~into ~off =
     ignore transient;
     Errno.raise_error EIO "uncorrectable NVMM media error at %#x" fault_addr
 
-let now t = Engine.now (Device.engine (device t))
+let now t = Engine.now64 (Device.engine (device t))
 
 (* --- mkfs / mount --- *)
 
@@ -400,7 +400,7 @@ let charge_copy t cat len =
       (len + config.Config.cacheline_size - 1) / config.Config.cacheline_size
     in
     let ns = lines * config.Config.dram_read_ns in
-    Stats.add_time (Fs_ctx.stats t.ctx) cat (Int64.of_int ns);
+    Stats.add_time (Fs_ctx.stats t.ctx) cat ns;
     Proc.delay_int ns
   end
 

@@ -31,7 +31,7 @@ module Obs = Hinfs_obs.Obs
 type pending = {
   sid : int;
   payload : Bytes.t;
-  enq_at : int64;
+  enq_at : int;
   waker : Bytes.t Engine.waker;
 }
 
@@ -56,7 +56,7 @@ type t = {
    cost plus a per-byte term, charged on the worker. *)
 let codec_ns len = 120 + (len / 32)
 
-let create ?(workers = 8) ?(cache_cap = 64) ?(lease_ns = 50_000_000L)
+let create ?(workers = 8) ?(cache_cap = 64) ?(lease_ns = 50_000_000)
     ?(verifier = 0x48694E4653L) engine vfs =
   let sessions = Session.create ~lease_ns in
   let cache = Ofcache.create vfs ~cap:cache_cap in
@@ -221,7 +221,7 @@ let rec worker t () =
    half-lease; [stop] signals it out of its sleep. *)
 let rec reaper t () =
   if t.running then begin
-    let half = Int64.div (Session.lease_ns t.sessions) 2L in
+    let half = Session.lease_ns t.sessions / 2 in
     ignore (Condvar.wait_timeout t.reaper_cv ~timeout:half);
     if t.running then begin
       ignore (Session.sweep t.sessions);
@@ -248,7 +248,7 @@ let stop t =
 
 let call t ~sid payload =
   if not t.running then invalid_arg "Server.call: server not running";
-  let enq_at = Proc.now () in
+  let enq_at = Proc.now_int () in
   Proc.suspend (fun waker ->
       Queue.add { sid; payload; enq_at; waker } t.queue;
       ignore (Condvar.signal t.work_cv))
@@ -257,7 +257,7 @@ let call t ~sid payload =
    client-perceived latency (queue wait included) recorded under the
    request's class. *)
 let rpc t ~sid req =
-  let t0 = Proc.now () in
+  let t0 = Proc.now_int () in
   let reply = Wire.decode_reply (call t ~sid (Wire.encode_req req)) in
   Obs.span_since (Wire.kind_of_req req) ~t0;
   reply

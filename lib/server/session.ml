@@ -13,10 +13,10 @@
 module Proc = Hinfs_sim.Proc
 module Obs = Hinfs_obs.Obs
 
-type session = { sid : int; mutable expires_at : int64 }
+type session = { sid : int; mutable expires_at : int }
 
 type t = {
-  lease_ns : int64;
+  lease_ns : int;
   sessions : (int, session) Hashtbl.t;
   mutable next_sid : int;
   mutable on_expire : int -> unit; (* sid of the lapsed session *)
@@ -41,7 +41,7 @@ let establish t =
   let sid = t.next_sid in
   t.next_sid <- sid + 1;
   Hashtbl.replace t.sessions sid
-    { sid; expires_at = Int64.add (Proc.now ()) t.lease_ns };
+    { sid; expires_at = Proc.now_int () + t.lease_ns };
   sid
 
 let expire t (s : session) =
@@ -55,22 +55,22 @@ let touch t sid =
   match Hashtbl.find_opt t.sessions sid with
   | None -> false
   | Some s ->
-    if Int64.compare (Proc.now ()) s.expires_at > 0 then begin
+    if Proc.now_int () > s.expires_at then begin
       expire t s;
       false
     end
     else begin
-      s.expires_at <- Int64.add (Proc.now ()) t.lease_ns;
+      s.expires_at <- Proc.now_int () + t.lease_ns;
       true
     end
 
 (* Periodic sweep from the server's reaper fiber. Returns how many
    sessions lapsed. *)
 let sweep t =
-  let now = Proc.now () in
+  let now = Proc.now_int () in
   let lapsed =
     Hashtbl.fold
-      (fun _ s acc -> if Int64.compare now s.expires_at > 0 then s :: acc else acc)
+      (fun _ s acc -> if now > s.expires_at then s :: acc else acc)
       t.sessions []
     |> List.sort (fun a b -> compare a.sid b.sid)
   in

@@ -24,7 +24,7 @@ let wait t =
   | Timed_out -> assert false
 
 let wait_timeout t ~timeout =
-  if Int64.compare timeout 0L <= 0 then Timed_out
+  if timeout <= 0 then Timed_out
   else
     Proc.suspend (fun w ->
         Queue.add w t.waiters;

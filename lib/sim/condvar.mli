@@ -15,7 +15,7 @@ val waiting : t -> int
 val wait : t -> unit
 (** Block until {!signal} or {!broadcast}. *)
 
-val wait_timeout : t -> timeout:int64 -> outcome
+val wait_timeout : t -> timeout:int -> outcome
 (** Block until signaled or until [timeout] virtual ns elapse, whichever
     comes first. A non-positive timeout returns [Timed_out] immediately. *)
 

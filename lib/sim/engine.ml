@@ -16,13 +16,14 @@ type 'a waker = {
 }
 
 type _ Effect.t +=
-  | Now : int64 Effect.t
-  | Delay : int64 -> unit Effect.t
+  | Now : int Effect.t
+  | Delay : unit Effect.t
   | Spawn : (string * (unit -> unit)) -> unit Effect.t
   | Suspend : ('a waker -> unit) -> 'a Effect.t
 
 type t = {
-  mutable now : int64;
+  mutable now : int;
+  mutable now_box : int64; (* [now] boxed, refreshed on read when stale *)
   mutable seq : int;
   events : (unit -> unit) Heap.t;
   mutable fatal : (exn * Printexc.raw_backtrace) option;
@@ -46,7 +47,8 @@ let create () =
   let names = Hashtbl.create 16 in
   Hashtbl.replace names 0 "engine";
   {
-    now = 0L;
+    now = 0;
+    now_box = 0L;
     seq = 0;
     events = Heap.create ();
     fatal = None;
@@ -59,6 +61,10 @@ let create () =
   }
 
 let now t = t.now
+
+let now64 t =
+  if Int64.to_int t.now_box <> t.now then t.now_box <- Int64.of_int t.now;
+  t.now_box
 
 (* The engine whose event is running: [step] (and [run], once for all its
    steps) installs it and restores the previous one afterwards, so a [run]
@@ -89,6 +95,25 @@ let process_now () =
   let t = !running in
   if t.cur_pid <> 0 then t.now else Effect.perform Now
 
+let process_now64 () =
+  let t = !running in
+  if t.cur_pid <> 0 then now64 t else Int64.of_int (Effect.perform Now)
+
+(* The requested delay travels beside the payload-free [Delay] effect: the
+   handler reads it before anything else runs, so one slot serves every
+   engine. *)
+let pending_delay = ref 0
+
+let delay ns =
+  if ns > 0 then begin
+    pending_delay := ns;
+    Effect.perform Delay
+  end
+
+let yield () =
+  pending_delay := 0;
+  Effect.perform Delay
+
 let live_processes t = t.live_processes
 
 let current_pid t = t.cur_pid
@@ -115,13 +140,12 @@ let set_current t pid =
   end
 
 let at t time thunk =
-  if Int64.compare time t.now < 0 then
-    invalid_arg "Engine.at: time is in the past";
+  if time < t.now then invalid_arg "Engine.at: time is in the past";
   let seq = t.seq in
   t.seq <- seq + 1;
   Heap.add t.events ~time ~seq thunk
 
-let after t delay thunk = at t (Int64.add t.now delay) thunk
+let after t delay thunk = at t (t.now + delay) thunk
 
 let wake w v =
   match w.state with
@@ -146,17 +170,13 @@ let rec exec : t -> string -> (unit -> unit) -> unit =
   t.live_processes <- t.live_processes + 1;
   set_current t pid;
   (* [Delay] is by far the most frequent effect, so its handler is built
-     once per process; the effect only stores the requested delay. *)
-  let delay_ns = ref 0 in
+     once per process. *)
   let on_delay =
     Some
       (fun (k : (unit, unit) continuation) ->
-        let d = !delay_ns in
-        if d < 0 then discontinue k (Invalid_argument "Engine: negative delay")
-        else
-          at t (Int64.add t.now (Int64.of_int d)) (fun () ->
-              set_current t pid;
-              resume_or_kill t k))
+        at t (t.now + !pending_delay) (fun () ->
+            set_current t pid;
+            resume_or_kill t k))
   in
   match_with f ()
     {
@@ -173,9 +193,7 @@ let rec exec : t -> string -> (unit -> unit) -> unit =
           match eff with
           | Now ->
             Some (fun (k : (a, unit) continuation) -> continue k t.now)
-          | Delay d ->
-            delay_ns := Int64.to_int d;
-            on_delay
+          | Delay -> on_delay
           | Spawn (child_name, body) ->
             Some
               (fun (k : (a, unit) continuation) ->
@@ -214,8 +232,8 @@ let spawn t ?(name = "process") f = at t t.now (fun () -> exec t name f)
 let step t =
   if Heap.is_empty t.events then false
   else begin
-    let { Heap.time; payload = thunk; _ } = Heap.pop t.events in
-    t.now <- time;
+    t.now <- Heap.top_time t.events;
+    let thunk = Heap.pop t.events in
     (* Plain [at] thunks run in engine context; process resumptions restore
        their own pid immediately. *)
     set_current t 0;
@@ -230,13 +248,12 @@ let run ?until t =
       match until with
       | None -> true
       | Some limit ->
-        Heap.is_empty t.events
-        || Int64.compare (Heap.top t.events).Heap.time limit <= 0
+        Heap.is_empty t.events || Heap.top_time t.events <= limit
   in
   let rec loop () = if continue_run () && step t then loop () in
   with_running t loop;
   (match until with
-  | Some limit when t.fatal = None && Int64.compare t.now limit < 0 ->
+  | Some limit when t.fatal = None && t.now < limit ->
     (* Even if the queue drained early, the clock advances to the horizon so
        that rate computations use the requested window. *)
     t.now <- limit

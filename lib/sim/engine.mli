@@ -1,9 +1,15 @@
 (** Discrete-event simulation engine.
 
-    The engine advances a virtual clock (nanoseconds, [int64]) and runs
+    The engine advances a virtual clock of nanoseconds held in an immediate
+    [int] (2{^62} ns, about 146 years, on a 64-bit host) and runs
     cooperative processes implemented with OCaml 5 effect handlers. All
     execution is single-threaded and deterministic: events scheduled for the
     same virtual time fire in scheduling order.
+
+    Every time this module takes or returns is an [int], so scheduling an
+    event or a delay boxes nothing. An [int64] clock survives only in the
+    views {!now64} and {!process_now64} and in [Proc.now]/[Proc.delay],
+    kept for callers written against an [int64] clock.
 
     Processes use the {!Proc} module for the in-process API ([delay],
     [now], ...); this module is the engine-side view. *)
@@ -15,8 +21,7 @@ type 'a waker
     already-fired waker is a no-op, which makes timed waits race-free. *)
 
 type _ Effect.t +=
-  | Now : int64 Effect.t
-  | Delay : int64 -> unit Effect.t
+  | Now : int Effect.t
   | Spawn : (string * (unit -> unit)) -> unit Effect.t
   | Suspend : ('a waker -> unit) -> 'a Effect.t
 
@@ -26,13 +31,30 @@ exception Stopped
 
 val create : unit -> t
 
-val now : t -> int64
+val now : t -> int
 (** Current virtual time in nanoseconds. *)
 
-val process_now : unit -> int64
+val now64 : t -> int64
+(** {!now} as an [int64]. The box is kept until the clock moves, so
+    repeated reads at one instant allocate once. *)
+
+val process_now : unit -> int
 (** Virtual time as seen by the calling process: the clock of the engine
     whose event is running, read without performing an effect. Outside a
-    process it performs the {!Now} effect. {!Proc.now} is this. *)
+    process it performs the {!Now} effect. {!Proc.now_int} is this. *)
+
+val process_now64 : unit -> int64
+(** {!process_now} through the {!now64} box. {!Proc.now} is this. *)
+
+val delay : int -> unit
+(** Suspend the calling process for [ns] virtual nanoseconds; a
+    non-positive [ns] returns at once without yielding. The effect it
+    performs carries no payload, so only the continuation and its resume
+    thunk are allocated. {!Proc.delay_int} is this. *)
+
+val yield : unit -> unit
+(** Reschedule the calling process at the current time, behind every event
+    already queued for it. *)
 
 val live_processes : t -> int
 (** Number of processes that have started and not yet returned. *)
@@ -54,11 +76,11 @@ val set_proc_hooks :
 
 val clear_proc_hooks : t -> unit
 
-val at : t -> int64 -> (unit -> unit) -> unit
+val at : t -> int -> (unit -> unit) -> unit
 (** [at t time thunk] schedules [thunk] to run at virtual [time].
     @raise Invalid_argument if [time] is in the past. *)
 
-val after : t -> int64 -> (unit -> unit) -> unit
+val after : t -> int -> (unit -> unit) -> unit
 (** [after t d thunk] is [at t (now t + d) thunk]. *)
 
 val wake : 'a waker -> 'a -> bool
@@ -73,7 +95,7 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
 val step : t -> bool
 (** Run the single earliest event. Returns [false] if the queue is empty. *)
 
-val run : ?until:int64 -> t -> unit
+val run : ?until:int -> t -> unit
 (** Run events until the queue drains, or past the [until] horizon. If the
     horizon is given, the clock is advanced to it even when the queue drains
     early. The first uncaught exception from any process aborts the run and

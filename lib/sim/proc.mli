@@ -1,17 +1,23 @@
 (** In-process API for simulation processes.
 
     These helpers perform the {!Engine} effects and are only meaningful when
-    called from inside a process running under {!Engine.run}. *)
+    called from inside a process running under {!Engine.run}. Virtual time
+    is an [int] of nanoseconds; {!now} and {!delay} are [int64] views of
+    {!now_int} and {!delay_int}. *)
 
-val now : unit -> int64
+val now_int : unit -> int
 (** Current virtual time (ns). *)
 
-val delay : int64 -> unit
-(** Sleep for the given number of virtual nanoseconds. [delay 0L] and
+val delay_int : int -> unit
+(** Sleep for the given number of virtual nanoseconds. [delay_int 0] and
     negative delays return immediately without yielding. *)
 
-val delay_int : int -> unit
-(** [delay] taking an [int] of nanoseconds. *)
+val now : unit -> int64
+(** {!now_int} as an [int64]; allocates at most once per virtual instant. *)
+
+val delay : int64 -> unit
+(** {!delay_int} taking an [int64].
+    @raise Invalid_argument if the delay exceeds [max_int] ns. *)
 
 val yield : unit -> unit
 (** Give other processes scheduled at the current time a chance to run. *)

@@ -36,23 +36,23 @@ let op_class_name = function
   | Meta_op -> "meta"
 
 type t = {
-  mutable time_by_category : int64 array; (* indexed by category *)
-  mutable time_by_op : int64 array; (* indexed by op_class *)
+  mutable time_by_category : int array; (* indexed by category *)
+  mutable time_by_op : int array; (* indexed by op_class *)
   mutable ops_completed : int;
   mutable ops_by_class : int array;
   (* byte accounting *)
-  mutable user_bytes_read : int64;
-  mutable user_bytes_written : int64;
-  mutable fsync_bytes : int64; (* user bytes persisted eagerly *)
-  mutable nvmm_bytes_written : int64; (* total bytes stored to NVMM *)
-  mutable nvmm_bytes_written_bg : int64; (* subset written by daemons *)
-  mutable nvmm_bytes_read : int64;
+  mutable user_bytes_read : int;
+  mutable user_bytes_written : int;
+  mutable fsync_bytes : int; (* user bytes persisted eagerly *)
+  mutable nvmm_bytes_written : int; (* total bytes stored to NVMM *)
+  mutable nvmm_bytes_written_bg : int; (* subset written by daemons *)
+  mutable nvmm_bytes_read : int;
   (* HiNFS buffer behaviour *)
   mutable buffer_write_hits : int;
   mutable buffer_write_misses : int;
   mutable buffer_read_hits : int;
   mutable buffer_read_misses : int;
-  mutable coalesced_cacheline_writes : int64;
+  mutable coalesced_cacheline_writes : int;
   mutable writeback_stalls : int;
   mutable evictions : int;
   mutable dead_block_drops : int; (* buffered blocks freed by unlink *)
@@ -101,21 +101,21 @@ let op_index = function
 
 let create () =
   {
-    time_by_category = Array.make 5 0L;
-    time_by_op = Array.make 5 0L;
+    time_by_category = Array.make 5 0;
+    time_by_op = Array.make 5 0;
     ops_completed = 0;
     ops_by_class = Array.make 5 0;
-    user_bytes_read = 0L;
-    user_bytes_written = 0L;
-    fsync_bytes = 0L;
-    nvmm_bytes_written = 0L;
-    nvmm_bytes_written_bg = 0L;
-    nvmm_bytes_read = 0L;
+    user_bytes_read = 0;
+    user_bytes_written = 0;
+    fsync_bytes = 0;
+    nvmm_bytes_written = 0;
+    nvmm_bytes_written_bg = 0;
+    nvmm_bytes_read = 0;
     buffer_write_hits = 0;
     buffer_write_misses = 0;
     buffer_read_hits = 0;
     buffer_read_misses = 0;
-    coalesced_cacheline_writes = 0L;
+    coalesced_cacheline_writes = 0;
     writeback_stalls = 0;
     evictions = 0;
     dead_block_drops = 0;
@@ -148,17 +148,17 @@ let reset t =
   t.time_by_op <- fresh.time_by_op;
   t.ops_completed <- 0;
   t.ops_by_class <- fresh.ops_by_class;
-  t.user_bytes_read <- 0L;
-  t.user_bytes_written <- 0L;
-  t.fsync_bytes <- 0L;
-  t.nvmm_bytes_written <- 0L;
-  t.nvmm_bytes_written_bg <- 0L;
-  t.nvmm_bytes_read <- 0L;
+  t.user_bytes_read <- 0;
+  t.user_bytes_written <- 0;
+  t.fsync_bytes <- 0;
+  t.nvmm_bytes_written <- 0;
+  t.nvmm_bytes_written_bg <- 0;
+  t.nvmm_bytes_read <- 0;
   t.buffer_write_hits <- 0;
   t.buffer_write_misses <- 0;
   t.buffer_read_hits <- 0;
   t.buffer_read_misses <- 0;
-  t.coalesced_cacheline_writes <- 0L;
+  t.coalesced_cacheline_writes <- 0;
   t.writeback_stalls <- 0;
   t.evictions <- 0;
   t.dead_block_drops <- 0;
@@ -188,19 +188,19 @@ let reset t =
 
 let add_time t cat ns =
   let i = category_index cat in
-  t.time_by_category.(i) <- Int64.add t.time_by_category.(i) ns
+  t.time_by_category.(i) <- t.time_by_category.(i) + ns
 
 let time t cat = t.time_by_category.(category_index cat)
 
-let total_time t = Array.fold_left Int64.add 0L t.time_by_category
+let total_time t = Array.fold_left ( + ) 0 t.time_by_category
 
 let add_op_time t op ns =
   let i = op_index op in
-  t.time_by_op.(i) <- Int64.add t.time_by_op.(i) ns
+  t.time_by_op.(i) <- t.time_by_op.(i) + ns
 
 let op_time t op = t.time_by_op.(op_index op)
 
-let total_op_time t = Array.fold_left Int64.add 0L t.time_by_op
+let total_op_time t = Array.fold_left ( + ) 0 t.time_by_op
 
 (* --- ops --- *)
 
@@ -216,32 +216,33 @@ let ops_completed t = t.ops_completed
 let ops_of_class t op = t.ops_by_class.(op_index op)
 
 let throughput_ops_per_sec t ~elapsed_ns =
-  if Int64.compare elapsed_ns 0L <= 0 then 0.0
-  else float_of_int t.ops_completed /. (Int64.to_float elapsed_ns /. 1e9)
+  if elapsed_ns <= 0 then 0.0
+  else float_of_int t.ops_completed /. (float_of_int elapsed_ns /. 1e9)
 
 (* --- bytes --- *)
 
-let add_user_read t n = t.user_bytes_read <- Int64.add t.user_bytes_read (Int64.of_int n)
-let add_user_written t n = t.user_bytes_written <- Int64.add t.user_bytes_written (Int64.of_int n)
-let add_fsync_bytes t n = t.fsync_bytes <- Int64.add t.fsync_bytes (Int64.of_int n)
+let add_user_read t n = t.user_bytes_read <- t.user_bytes_read + n
+let add_user_written t n = t.user_bytes_written <- t.user_bytes_written + n
+let add_fsync_bytes t n = t.fsync_bytes <- t.fsync_bytes + n
 
-let add_nvmm_written ?(background = false) t n =
-  t.nvmm_bytes_written <- Int64.add t.nvmm_bytes_written (Int64.of_int n);
-  if background then
-    t.nvmm_bytes_written_bg <- Int64.add t.nvmm_bytes_written_bg (Int64.of_int n)
+let add_nvmm_written t ~background n =
+  t.nvmm_bytes_written <- t.nvmm_bytes_written + n;
+  if background then t.nvmm_bytes_written_bg <- t.nvmm_bytes_written_bg + n
 
-let add_nvmm_read t n = t.nvmm_bytes_read <- Int64.add t.nvmm_bytes_read (Int64.of_int n)
+let add_nvmm_read t n = t.nvmm_bytes_read <- t.nvmm_bytes_read + n
 
 let user_bytes_read t = t.user_bytes_read
-let user_bytes_written t = t.user_bytes_written
 let fsync_bytes t = t.fsync_bytes
-let nvmm_bytes_written t = t.nvmm_bytes_written
-let nvmm_bytes_written_bg t = t.nvmm_bytes_written_bg
-let nvmm_bytes_read t = t.nvmm_bytes_read
+
+(* The [int64] views, kept for callers written against [int64] counters. *)
+let user_bytes_written t = Int64.of_int t.user_bytes_written
+let nvmm_bytes_written t = Int64.of_int t.nvmm_bytes_written
+let nvmm_bytes_written_bg t = Int64.of_int t.nvmm_bytes_written_bg
+let nvmm_bytes_read t = Int64.of_int t.nvmm_bytes_read
 
 let fsync_byte_ratio t =
-  if Int64.compare t.user_bytes_written 0L <= 0 then 0.0
-  else Int64.to_float t.fsync_bytes /. Int64.to_float t.user_bytes_written
+  if t.user_bytes_written <= 0 then 0.0
+  else float_of_int t.fsync_bytes /. float_of_int t.user_bytes_written
 
 (* --- buffer behaviour --- *)
 
@@ -254,8 +255,7 @@ let eviction t = t.evictions <- t.evictions + 1
 let dead_block_drop t n = t.dead_block_drops <- t.dead_block_drops + n
 
 let add_coalesced_cachelines t n =
-  t.coalesced_cacheline_writes <-
-    Int64.add t.coalesced_cacheline_writes (Int64.of_int n)
+  t.coalesced_cacheline_writes <- t.coalesced_cacheline_writes + n
 
 let buffer_write_hits t = t.buffer_write_hits
 let buffer_write_misses t = t.buffer_write_misses
@@ -264,7 +264,7 @@ let buffer_read_misses t = t.buffer_read_misses
 let writeback_stalls t = t.writeback_stalls
 let evictions t = t.evictions
 let dead_block_drops t = t.dead_block_drops
-let coalesced_cacheline_writes t = t.coalesced_cacheline_writes
+let coalesced_cacheline_writes t = Int64.of_int t.coalesced_cacheline_writes
 
 let buffer_write_hit_ratio t =
   let total = t.buffer_write_hits + t.buffer_write_misses in
@@ -363,13 +363,12 @@ let total_mfences t = Array.fold_left ( + ) 0 t.mfences
 let pp_breakdown ppf t =
   let total = total_time t in
   let pct ns =
-    if Int64.compare total 0L <= 0 then 0.0
-    else 100.0 *. Int64.to_float ns /. Int64.to_float total
+    if total <= 0 then 0.0 else 100.0 *. float_of_int ns /. float_of_int total
   in
   Fmt.pf ppf "@[<v>";
   List.iter
     (fun cat ->
       let ns = time t cat in
-      Fmt.pf ppf "%-12s %12Ld ns  (%5.1f%%)@," (category_name cat) ns (pct ns))
+      Fmt.pf ppf "%-12s %12d ns  (%5.1f%%)@," (category_name cat) ns (pct ns))
     categories;
-  Fmt.pf ppf "total        %12Ld ns@]" total
+  Fmt.pf ppf "total        %12d ns@]" total

@@ -1,7 +1,10 @@
 (** Measurement sink for one experiment run.
 
     All the paper's figures are computed from these accumulators. Times are
-    virtual nanoseconds from the simulation clock. *)
+    virtual nanoseconds from the simulation clock. Every counter is an
+    immediate [int], so accumulating allocates nothing; the [int64] readers
+    of the byte counters are views kept for callers written against
+    [int64] counters. *)
 
 type t
 
@@ -28,19 +31,19 @@ val reset : t -> unit
 
 (** {1 Time} *)
 
-val add_time : t -> category -> int64 -> unit
-val time : t -> category -> int64
-val total_time : t -> int64
-val add_op_time : t -> op_class -> int64 -> unit
-val op_time : t -> op_class -> int64
-val total_op_time : t -> int64
+val add_time : t -> category -> int -> unit
+val time : t -> category -> int
+val total_time : t -> int
+val add_op_time : t -> op_class -> int -> unit
+val op_time : t -> op_class -> int
+val total_op_time : t -> int
 
 (** {1 Operations} *)
 
 val op_done : ?op_class:op_class -> t -> unit
 val ops_completed : t -> int
 val ops_of_class : t -> op_class -> int
-val throughput_ops_per_sec : t -> elapsed_ns:int64 -> float
+val throughput_ops_per_sec : t -> elapsed_ns:int -> float
 
 (** {1 Byte accounting} *)
 
@@ -51,11 +54,13 @@ val add_fsync_bytes : t -> int -> unit
 (** User bytes that had to be persisted eagerly (synchronous or
     fsync-covered writes) — the numerator of Fig. 2. *)
 
-val add_nvmm_written : ?background:bool -> t -> int -> unit
+val add_nvmm_written : t -> background:bool -> int -> unit
+(** [background] also counts the bytes as written by a daemon. *)
+
 val add_nvmm_read : t -> int -> unit
-val user_bytes_read : t -> int64
+val user_bytes_read : t -> int
 val user_bytes_written : t -> int64
-val fsync_bytes : t -> int64
+val fsync_bytes : t -> int
 val nvmm_bytes_written : t -> int64
 val nvmm_bytes_written_bg : t -> int64
 val nvmm_bytes_read : t -> int64

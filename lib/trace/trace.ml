@@ -226,11 +226,11 @@ let all ?ops () =
 type replay_result = {
   r_trace : string;
   r_fs_name : string;
-  r_elapsed_ns : int64;
-  r_read_ns : int64;
-  r_write_ns : int64;
-  r_unlink_ns : int64;
-  r_fsync_ns : int64;
+  r_elapsed_ns : int;
+  r_read_ns : int;
+  r_write_ns : int;
+  r_unlink_ns : int;
+  r_fsync_ns : int;
   r_ops : int;
 }
 
@@ -239,11 +239,11 @@ let pp_replay_result ppf r =
     "%-9s %-14s total %10.3f ms  (read %8.3f  write %8.3f  unlink %8.3f  \
      fsync %8.3f)"
     r.r_trace r.r_fs_name
-    (Int64.to_float r.r_elapsed_ns /. 1e6)
-    (Int64.to_float r.r_read_ns /. 1e6)
-    (Int64.to_float r.r_write_ns /. 1e6)
-    (Int64.to_float r.r_unlink_ns /. 1e6)
-    (Int64.to_float r.r_fsync_ns /. 1e6)
+    (float_of_int r.r_elapsed_ns /. 1e6)
+    (float_of_int r.r_read_ns /. 1e6)
+    (float_of_int r.r_write_ns /. 1e6)
+    (float_of_int r.r_unlink_ns /. 1e6)
+    (float_of_int r.r_fsync_ns /. 1e6)
 
 let file_path i = Printf.sprintf "/trace/t%04d" i
 
@@ -278,12 +278,12 @@ let replay ~stats trace (h : Vfs.handle) =
       Hashtbl.remove fds file
     | None -> ()
   in
-  let start = Proc.now () in
+  let start = Proc.now_int () in
   let ops = ref 0 in
   let timed cls f =
-    let t0 = Proc.now () in
+    let t0 = Proc.now_int () in
     (try f () with Errno.Fs_error _ -> ());
-    Stats.add_op_time stats cls (Int64.sub (Proc.now ()) t0);
+    Stats.add_op_time stats cls (Proc.now_int () - t0);
     Stats.op_done ~op_class:cls stats;
     incr ops
   in
@@ -307,7 +307,7 @@ let replay ~stats trace (h : Vfs.handle) =
   {
     r_trace = trace.trace_name;
     r_fs_name = h.Vfs.fs_name;
-    r_elapsed_ns = Int64.sub (Proc.now ()) start;
+    r_elapsed_ns = Proc.now_int () - start;
     r_read_ns = Stats.op_time stats Stats.Read_op;
     r_write_ns = Stats.op_time stats Stats.Write_op;
     r_unlink_ns = Stats.op_time stats Stats.Unlink_op;

@@ -43,11 +43,11 @@ val all : ?ops:int -> unit -> t list
 type replay_result = {
   r_trace : string;
   r_fs_name : string;
-  r_elapsed_ns : int64;
-  r_read_ns : int64;
-  r_write_ns : int64;
-  r_unlink_ns : int64;
-  r_fsync_ns : int64;
+  r_elapsed_ns : int;
+  r_read_ns : int;
+  r_write_ns : int;
+  r_unlink_ns : int;
+  r_fsync_ns : int;
   r_ops : int;
 }
 

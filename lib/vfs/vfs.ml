@@ -98,7 +98,7 @@ module Make (B : Backend.S) = struct
 
   let charge_syscall t =
     let ns = (config t).Config.syscall_ns in
-    Stats.add_time (stats t) Stats.Other (Int64.of_int ns);
+    Stats.add_time (stats t) Stats.Other ns;
     Proc.delay_int ns
 
   let ino_lock t ino =

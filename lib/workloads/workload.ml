@@ -29,7 +29,7 @@ type result = {
   workload : string;
   fs_name : string;
   threads : int;
-  elapsed_ns : int64;
+  elapsed_ns : int;
   ops : int;
   ops_per_sec : float;
 }
@@ -49,13 +49,13 @@ type job = {
 type job_result = {
   job : string;
   jr_fs_name : string;
-  jr_elapsed_ns : int64;
+  jr_elapsed_ns : int;
   jr_ops : int;
 }
 
 let pp_job_result ppf r =
   Fmt.pf ppf "%-12s %-14s %9d ops  %12.3f ms" r.job r.jr_fs_name r.jr_ops
-    (Int64.to_float r.jr_elapsed_ns /. 1e6)
+    (float_of_int r.jr_elapsed_ns /. 1e6)
 
 let run_job ?(seed = 42L) ~stats (job : job) (handle : Vfs.handle) =
   let rng = Rng.create ~seed in
@@ -65,7 +65,7 @@ let run_job ?(seed = 42L) ~stats (job : job) (handle : Vfs.handle) =
   handle.Vfs.sync_all ();
   Stats.reset stats;
   (match Obs.current () with Some o -> Obs.reset o | None -> ());
-  let start = Proc.now () in
+  let start = Proc.now_int () in
   let ops = job.job_run handle rng in
   for _ = 1 to ops do
     Stats.op_done stats
@@ -73,7 +73,7 @@ let run_job ?(seed = 42L) ~stats (job : job) (handle : Vfs.handle) =
   {
     job = job.job_name;
     jr_fs_name = handle.Vfs.fs_name;
-    jr_elapsed_ns = Int64.sub (Proc.now ()) start;
+    jr_elapsed_ns = Proc.now_int () - start;
     jr_ops = ops;
   }
 
@@ -86,8 +86,8 @@ let run ?(seed = 42L) ~stats ~threads ~duration w (handle : Vfs.handle) =
   handle.Vfs.sync_all ();
   Stats.reset stats;
   (match Obs.current () with Some o -> Obs.reset o | None -> ());
-  let start = Proc.now () in
-  let deadline = Int64.add start duration in
+  let start = Proc.now_int () in
+  let deadline = start + duration in
   let total_ops = ref 0 in
   let live = ref threads in
   let done_waker = ref None in
@@ -99,7 +99,7 @@ let run ?(seed = 42L) ~stats ~threads ~duration w (handle : Vfs.handle) =
         in
         let ctx = { handle; rng; thread_id } in
         let rec loop () =
-          if Int64.compare (Proc.now ()) deadline < 0 then begin
+          if Proc.now_int () < deadline then begin
             let ops = w.worker ctx in
             total_ops := !total_ops + ops;
             for _ = 1 to ops do
@@ -116,7 +116,7 @@ let run ?(seed = 42L) ~stats ~threads ~duration w (handle : Vfs.handle) =
           | None -> ())
   done;
   if !live > 0 then Proc.suspend (fun waker -> done_waker := Some waker);
-  let elapsed = Int64.sub (Proc.now ()) start in
+  let elapsed = Proc.now_int () - start in
   {
     workload = w.name;
     fs_name = handle.Vfs.fs_name;
@@ -124,7 +124,7 @@ let run ?(seed = 42L) ~stats ~threads ~duration w (handle : Vfs.handle) =
     elapsed_ns = elapsed;
     ops = !total_ops;
     ops_per_sec =
-      (if Int64.compare elapsed 0L > 0 then
-         float_of_int !total_ops /. (Int64.to_float elapsed /. 1e9)
+      (if elapsed > 0 then
+         float_of_int !total_ops /. (float_of_int elapsed /. 1e9)
        else 0.0);
   }

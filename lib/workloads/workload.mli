@@ -18,7 +18,7 @@ type result = {
   workload : string;
   fs_name : string;
   threads : int;
-  elapsed_ns : int64;
+  elapsed_ns : int;
   ops : int;
   ops_per_sec : float;
 }
@@ -35,7 +35,7 @@ type job = {
 type job_result = {
   job : string;
   jr_fs_name : string;
-  jr_elapsed_ns : int64;
+  jr_elapsed_ns : int;
   jr_ops : int;
 }
 
@@ -54,7 +54,7 @@ val run :
   ?seed:int64 ->
   stats:Hinfs_stats.Stats.t ->
   threads:int ->
-  duration:int64 ->
+  duration:int ->
   t ->
   Hinfs_vfs.Vfs.handle ->
   result

@@ -55,13 +55,13 @@ let config = { Config.default with Config.nvmm_size = 8 * 1024 * 1024 }
 
 (* Virtual-time script (ns). The repair daemon patrols every 2 ms, so a
    10 ms re-admission bound is five patrol ticks of slack. *)
-let window_ns = 30_000_000L
+let window_ns = 30_000_000
 let storm_at = 4_000_000
 let storm_len = 5_000_000
 let corrupt_at = 12_000_000
 let burst_gap = 1_000_000
-let readmit_bound_ns = 10_000_000L
-let capture_after = Int64.of_int (corrupt_at + 3_000_000)
+let readmit_bound_ns = 10_000_000
+let capture_after = corrupt_at + 3_000_000
 
 (* Oracle: per shard, per file, the content of the last successful
    synchronous write. Reads that return data must match it — under
@@ -74,7 +74,7 @@ type outcome = {
   o_retries : int; (* transient-read retries absorbed *)
   o_quarantines : int;
   o_readmits : int;
-  o_readmit_lag : int64 option; (* corruption -> Healthy again, ns *)
+  o_readmit_lag : int option; (* corruption -> Healthy again, ns *)
   o_digest : string; (* final unmounted image *)
   o_crash_checked : bool;
   o_global_flip : bool; (* the mount-level domain left Healthy *)
@@ -185,7 +185,7 @@ let run_cell ~chaos () =
         Crashmc.on_pending_fence d (fun _ ->
             if
               !captured = None
-              && Int64.compare (Engine.now engine) capture_after >= 0
+              && Engine.now engine >= capture_after
             then begin
               let osnap =
                 Array.mapi
@@ -211,7 +211,7 @@ let run_cell ~chaos () =
       let deadline = window_ns in
       let worker s =
         let rng = Rng.create ~seed:(Int64.add seed (Int64.of_int (s + 1))) in
-        while Int64.compare (Engine.now engine) deadline < 0 do
+        while Engine.now engine < deadline do
           if Pmfs.read_only fs then global_flip := true;
           let i = Rng.int rng files_per_shard in
           let f = files.(s).(i) in
@@ -260,12 +260,12 @@ let run_cell ~chaos () =
             | _ -> ())
           schedule;
       (* Let the window elapse, then a margin for the last patrol tick. *)
-      Proc.delay_int (Int64.to_int window_ns + 5_000_000);
+      Proc.delay_int (window_ns + 5_000_000);
       (match daemon with Some dm -> Repair.stop dm | None -> ());
       if chaos then Device.disable_recording d;
       let readmit_lag =
         match (!corrupted_at, !readmitted_at) with
-        | Some c, Some r -> Some (Int64.sub r c)
+        | Some c, Some r -> Some (r - c)
         | _ -> None
       in
       (* Liveness: the victim must serve read-write again, right now. *)
@@ -317,7 +317,7 @@ let () =
     "chaos: %d blocked, %d retries, %d quarantine(s), %d readmit(s), \
      readmit lag %a ns, crash image %s@."
     c1.o_blocked c1.o_retries c1.o_quarantines c1.o_readmits
-    Fmt.(option ~none:(any "-") int64)
+    Fmt.(option ~none:(any "-") int)
     c1.o_readmit_lag
     (if c1.o_crash_checked then "checked" else "NOT captured");
   (* Containment: healthy shards keep >= 80% of their no-fault pace. *)
@@ -333,8 +333,8 @@ let () =
   (match c1.o_readmit_lag with
   | None -> fail "no corruption->readmit interval recorded"
   | Some lag ->
-    if Int64.compare lag readmit_bound_ns > 0 then
-      fail "re-admission took %Ld ns, bound is %Ld ns" lag readmit_bound_ns);
+    if lag > readmit_bound_ns then
+      fail "re-admission took %d ns, bound is %d ns" lag readmit_bound_ns);
   if c1.o_retries = 0 then
     fail "transient storm fired no retries (vacuous storm)";
   if not c1.o_crash_checked then

@@ -23,7 +23,7 @@ let spec =
     Experiment.buffer_bytes = 2 * 1024 * 1024;
     Experiment.cache_pages = 512;
     Experiment.threads = 2;
-    Experiment.duration_ns = 10_000_000L;
+    Experiment.duration_ns = 10_000_000;
   }
 
 let read_file path =

@@ -481,7 +481,7 @@ let test_daemon_reclaims_to_high_watermark () =
 let test_age_flush_cleans_old_blocks () =
   Testkit.run_sim (fun engine ->
       let hcfg =
-        { Testkit.small_hcfg with Hconfig.age_flush_ns = 2_000_000_000L }
+        { Testkit.small_hcfg with Hconfig.age_flush_ns = 2_000_000_000 }
       in
       let _d, fs = Testkit.make_hinfs ~hcfg ~daemons:true engine in
       let ino = Pmfs.create_file (H.pmfs fs) ~dir:root "f" in
@@ -602,8 +602,8 @@ let test_commit_owns_pending_txn () =
   let hcfg =
     {
       Testkit.small_hcfg with
-      Hconfig.age_flush_ns = 1_000_000L;
-      flush_interval_ns = 1_000_000L;
+      Hconfig.age_flush_ns = 1_000_000;
+      flush_interval_ns = 1_000_000;
     }
   in
   for step = 0 to 40 do

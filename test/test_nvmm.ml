@@ -241,6 +241,36 @@ let test_scalar_loads_do_not_allocate () =
       ignore (Sys.opaque_identity !sink);
       check_bool "no per-load allocation" true (w1 -. w0 < 256.0))
 
+(* The counters are immediate ints: accumulating allocates nothing. *)
+let test_stats_counters_do_not_allocate () =
+  let stats = Stats.create () in
+  let w0 = Gc.minor_words () in
+  for i = 1 to 10_000 do
+    Stats.add_time stats cat i;
+    Stats.add_nvmm_written stats ~background:(i land 1 = 0) 64
+  done;
+  let w1 = Gc.minor_words () in
+  check_int "bytes counted" 640_000
+    (Int64.to_int (Stats.nvmm_bytes_written stats));
+  check_bool "no per-call allocation" true (w1 -. w0 < 256.0)
+
+(* A fence charges its time inline: it allocates no more than the one
+   delay it performs (see test_sim's delay budget). *)
+let test_mfence_allocation_budget () =
+  Testkit.run_sim (fun engine ->
+      let d = Testkit.make_device engine in
+      Device.mfence d ~cat;
+      let n = 10_000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        Device.mfence d ~cat
+      done;
+      let w1 = Gc.minor_words () in
+      let per_call = (w1 -. w0) /. float_of_int n in
+      check_bool
+        (Fmt.str "%.1f words per mfence <= 10" per_call)
+        true (per_call <= 10.0))
+
 (* --- timing --- *)
 
 let test_write_nt_timing () =
@@ -255,7 +285,7 @@ let test_write_nt_timing () =
   in
   (* 64 lines x 200 ns *)
   check_i64 "nt write cost" 12_800L elapsed;
-  check_i64 "charged to category" 12_800L (Stats.time stats cat);
+  check_int "charged to category" 12_800 (Stats.time stats cat);
   check_i64 "bytes counted" 4096L (Stats.nvmm_bytes_written stats)
 
 let test_bandwidth_throttling () =
@@ -269,7 +299,7 @@ let test_bandwidth_throttling () =
         Device.write_nt d ~cat ~addr:(i * 4096) ~src:payload ~off:0 ~len:4096)
   done;
   Engine.run engine;
-  check_i64 "6 writes on 3 slots take 2 rounds" 25_600L (Engine.now engine)
+  check_int "6 writes on 3 slots take 2 rounds" 25_600 (Engine.now engine)
 
 let test_clflush_only_pays_for_dirty () =
   let stats = Stats.create () in
@@ -288,7 +318,7 @@ let test_read_timing () =
       let buf = Bytes.create 4096 in
       Device.read d ~cat:Stats.Read_access ~addr:0 ~len:4096 ~into:buf ~off:0);
   (* 64 lines x 8 ns dram read *)
-  check_i64 "read cost" 512L (Stats.time stats Stats.Read_access)
+  check_int "read cost" 512 (Stats.time stats Stats.Read_access)
 
 let test_bounds_checking () =
   Testkit.run_sim (fun engine ->
@@ -380,7 +410,7 @@ let test_blockdev_overhead_charged () =
       Blockdev.write_block bdev ~cat 0 ~src:block ~off:0;
       Blockdev.read_block bdev ~cat 0 ~into:block ~off:0);
   (* 2 requests x 8000 ns block layer overhead *)
-  check_i64 "block layer overhead" 16_000L (Stats.time stats Stats.Block_layer)
+  check_int "block layer overhead" 16_000 (Stats.time stats Stats.Block_layer)
 
 let () =
   Alcotest.run "nvmm"
@@ -416,6 +446,10 @@ let () =
             test_dirty_bitmap_mirrors_overlay;
           Alcotest.test_case "scalar loads do not allocate" `Quick
             test_scalar_loads_do_not_allocate;
+          Alcotest.test_case "stats counters do not allocate" `Quick
+            test_stats_counters_do_not_allocate;
+          Alcotest.test_case "mfence allocation budget" `Quick
+            test_mfence_allocation_budget;
         ] );
       ( "timing",
         [

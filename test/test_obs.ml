@@ -139,7 +139,7 @@ let test_disabled_is_allocation_free () =
     Obs.span_begin Obs.Op_write;
     Obs.span_end Obs.Op_write;
     Obs.instant Obs.Ev_bbm_lazy ~a:i ~b:0;
-    Obs.span_since Obs.Flush ~t0:0L;
+    Obs.span_since Obs.Flush ~t0:0;
     Obs.counter "gauge" i
   done;
   let w1 = Gc.minor_words () in
@@ -156,7 +156,7 @@ let tiny_spec =
     Experiment.buffer_bytes = 2 * 1024 * 1024;
     Experiment.cache_pages = 512;
     Experiment.threads = 2;
-    Experiment.duration_ns = 10_000_000L;
+    Experiment.duration_ns = 10_000_000;
   }
 
 let small_fb =
@@ -181,7 +181,7 @@ let test_obs_does_not_perturb_the_run () =
   in
   check_int "same op count" plain.Workload.ops observed.Workload.ops;
   check_bool "same virtual elapsed" true
-    (Int64.equal plain.Workload.elapsed_ns observed.Workload.elapsed_ns);
+    (plain.Workload.elapsed_ns = observed.Workload.elapsed_ns);
   check_bool "sink saw the ops" true
     ((Obs.hist obs Obs.Op_write).Hist.count > 0)
 

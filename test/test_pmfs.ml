@@ -125,6 +125,30 @@ let test_large_file_grows_tree () =
             (Bytes.get buf 0))
         [ 0; 1; 17; 31; 47 ])
 
+(* A lookup hit through a height-2 tree allocates only its [Some]. *)
+let test_lookup_hit_allocation_budget () =
+  Testkit.run_sim (fun engine ->
+      let _d, fs = Testkit.make_pmfs engine in
+      let ino = Pmfs.create_file fs ~dir:root "sparse" in
+      let block = Bytes.make 4096 'L' in
+      ignore
+        (Pmfs.write fs ~ino ~off:(600 * 4096) ~src:block ~src_off:0 ~len:4096
+           ~sync:false);
+      let ctx = Pmfs.ctx fs in
+      let hit = Block_tree.lookup ctx ~ino ~fblock:600 in
+      check_bool "hit" true (hit <> None);
+      check_bool "hole" true (Block_tree.lookup ctx ~ino ~fblock:599 = None);
+      let n = 10_000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Block_tree.lookup ctx ~ino ~fblock:600))
+      done;
+      let w1 = Gc.minor_words () in
+      let per_call = (w1 -. w0) /. float_of_int n in
+      check_bool
+        (Fmt.str "%.1f words per lookup hit <= 2" per_call)
+        true (per_call <= 2.0))
+
 let test_truncate () =
   Testkit.run_sim (fun engine ->
       let _d, fs = Testkit.make_pmfs engine in
@@ -544,7 +568,7 @@ let test_vfs_fsync_byte_accounting () =
       ignore (h.Vfs.write fd2 buf 1000);
       h.Vfs.close fd2);
   Alcotest.(check int64) "user bytes" 4000L (Stats.user_bytes_written stats);
-  Alcotest.(check int64) "fsync bytes" 3000L (Stats.fsync_bytes stats)
+  Alcotest.(check int) "fsync bytes" 3000 (Stats.fsync_bytes stats)
 
 let test_concurrent_writers_different_files () =
   Testkit.run_sim (fun engine ->
@@ -664,6 +688,8 @@ let () =
             test_fresh_partial_block_zero_filled;
           Alcotest.test_case "large file grows tree" `Quick
             test_large_file_grows_tree;
+          Alcotest.test_case "lookup hit allocation budget" `Quick
+            test_lookup_hit_allocation_budget;
           Alcotest.test_case "truncate" `Quick test_truncate;
           Alcotest.test_case "unlink frees space" `Quick
             test_unlink_frees_space;

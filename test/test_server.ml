@@ -193,7 +193,7 @@ let test_serve_basic () =
 let test_lease_expiry_reclaim () =
   Testkit.run_sim (fun engine ->
       let _d, fs = Testkit.make_pmfs engine in
-      with_server ~lease_ns:1_000_000L engine (Pmfs.handle fs) (fun srv ->
+      with_server ~lease_ns:1_000_000 engine (Pmfs.handle fs) (fun srv ->
           let sid = Server.establish srv in
           let fh, _ = expect_handle (Server.rpc srv ~sid (Wire.Create "/f")) in
           expect_ok

@@ -22,11 +22,11 @@ let test_heap_order () =
     Heap.add h ~time ~seq:!seq payload;
     incr seq
   in
-  add 30L "c";
-  add 10L "a";
-  add 20L "b";
-  add 10L "a2";
-  let pop () = (Heap.pop h).Heap.payload in
+  add 30 "c";
+  add 10 "a";
+  add 20 "b";
+  add 10 "a2";
+  let pop () = Heap.pop h in
   check_int "length" 4 (Heap.length h);
   Alcotest.(check string) "first" "a" (pop ());
   Alcotest.(check string) "fifo at same time" "a2" (pop ());
@@ -39,17 +39,44 @@ let test_heap_random () =
   let rng = Rng.create ~seed:42L in
   let n = 1000 in
   for i = 0 to n - 1 do
-    Heap.add h ~time:(Int64.of_int (Rng.int rng 100)) ~seq:i i
+    Heap.add h ~time:(Rng.int rng 100) ~seq:i i
   done;
-  let prev = ref (-1L, -1) in
+  let prev = ref (-1, -1) in
   for _ = 1 to n do
-    let { Heap.time; seq; _ } = Heap.pop h in
+    let time = Heap.top_time h in
+    (* The payload is the entry's seq. *)
+    let seq = Heap.pop h in
     let pt, ps = !prev in
     check_bool "monotone (time, seq)" true
-      (Int64.compare pt time < 0 || (Int64.equal pt time && ps < seq));
+      (pt < time || (pt = time && ps < seq));
     prev := (time, seq)
   done;
   check_bool "drained" true (Heap.is_empty h)
+
+(* Equal times pop in insertion order while the key arrays double from 16
+   to 32 to 64 slots underneath, with pops interleaved between pushes. *)
+let test_heap_fifo_across_growth () =
+  let h = Heap.create () in
+  let pushed = ref 0 and popped = ref 0 and peak = ref 0 in
+  let push () =
+    Heap.add h ~time:5 ~seq:!pushed !pushed;
+    incr pushed;
+    peak := max !peak (Heap.length h)
+  in
+  let pop () =
+    check_int "fifo at equal times" !popped (Heap.pop h);
+    incr popped
+  in
+  for round = 1 to 60 do
+    push ();
+    push ();
+    if round mod 3 = 0 then pop ()
+  done;
+  check_bool "grew past 32 entries" true (!peak > 32);
+  while not (Heap.is_empty h) do
+    pop ()
+  done;
+  check_int "every entry popped" !pushed !popped
 
 (* --- engine basics --- *)
 
@@ -101,9 +128,9 @@ let test_run_until_horizon () =
         if !fired < 1000 then loop ()
       in
       loop ());
-  Engine.run ~until:55L engine;
+  Engine.run ~until:55 engine;
   check_int "events before horizon" 5 !fired;
-  check_i64 "clock at horizon" 55L (Engine.now engine)
+  check_int "clock at horizon" 55 (Engine.now engine)
 
 let test_exception_propagates () =
   let engine = Engine.create () in
@@ -137,7 +164,7 @@ let test_now_nested_runs () =
       Engine.spawn inner (fun () ->
           Proc.delay 7L;
           record "inner process");
-      Engine.at inner 3L (fun () -> record "inner thunk");
+      Engine.at inner 3 (fun () -> record "inner thunk");
       Engine.run inner;
       record "outer after";
       Proc.delay 5L;
@@ -168,6 +195,33 @@ let test_now_does_not_allocate () =
       let w1 = Gc.minor_words () in
       check_i64 "clock" 42L !sink;
       check_bool "no per-call allocation" true (w1 -. w0 < 256.0))
+
+(* Allocation budget of one delay: only the continuation and its resume
+   thunk are allocated. *)
+let test_delay_int_allocation_budget () =
+  Testkit.run_sim (fun _ ->
+      Proc.delay_int 1;
+      let n = 10_000 in
+      let w0 = Gc.minor_words () in
+      for _ = 1 to n do
+        Proc.delay_int 1
+      done;
+      let w1 = Gc.minor_words () in
+      let per_call = (w1 -. w0) /. float_of_int n in
+      check_bool
+        (Fmt.str "%.1f words per delay <= 10" per_call)
+        true (per_call <= 10.0))
+
+(* An [int64] delay beyond the [int] clock would wrap to a negative int,
+   which [delay_int] ignores; the view refuses it instead. *)
+let test_delay_beyond_clock_range_rejected () =
+  List.iter
+    (fun ns ->
+      let raised = ref false in
+      Testkit.run_sim (fun _ ->
+          try Proc.delay ns with Invalid_argument _ -> raised := true);
+      check_bool (Fmt.str "Proc.delay %Ld raises" ns) true !raised)
+    [ Int64.shift_left 1L 62; Int64.max_int ]
 
 (* --- resources --- *)
 
@@ -259,7 +313,7 @@ let test_condvar_timeout () =
   let outcome = ref Condvar.Signaled in
   Testkit.run_sim (fun engine ->
       let c = Condvar.create engine in
-      outcome := Condvar.wait_timeout c ~timeout:30L;
+      outcome := Condvar.wait_timeout c ~timeout:30;
       check_i64 "timed out at deadline" 30L (Proc.now ()));
   check_bool "timeout outcome" true (!outcome = Condvar.Timed_out)
 
@@ -270,7 +324,7 @@ let test_condvar_signal_beats_timeout () =
       Proc.spawn (fun () ->
           Proc.delay 10L;
           ignore (Condvar.signal c));
-      outcome := Condvar.wait_timeout c ~timeout:1000L;
+      outcome := Condvar.wait_timeout c ~timeout:1000;
       check_i64 "woken at signal" 10L (Proc.now ()));
   check_bool "signaled" true (!outcome = Condvar.Signaled)
 
@@ -293,7 +347,7 @@ let test_condvar_timeout_then_signal_no_double_wake () =
   let second_woken = ref false in
   Testkit.run_sim (fun engine ->
       let c = Condvar.create engine in
-      Proc.spawn (fun () -> ignore (Condvar.wait_timeout c ~timeout:5L));
+      Proc.spawn (fun () -> ignore (Condvar.wait_timeout c ~timeout:5));
       Proc.spawn (fun () ->
           Condvar.wait c;
           second_woken := true);
@@ -414,6 +468,8 @@ let () =
         [
           Alcotest.test_case "ordering" `Quick test_heap_order;
           Alcotest.test_case "random monotone" `Quick test_heap_random;
+          Alcotest.test_case "FIFO across growth" `Quick
+            test_heap_fifo_across_growth;
         ] );
       ( "engine",
         [
@@ -427,6 +483,10 @@ let () =
           Alcotest.test_case "now in nested runs" `Quick test_now_nested_runs;
           Alcotest.test_case "now does not allocate" `Quick
             test_now_does_not_allocate;
+          Alcotest.test_case "delay_int allocation budget" `Quick
+            test_delay_int_allocation_budget;
+          Alcotest.test_case "int64 delay beyond clock range rejected" `Quick
+            test_delay_beyond_clock_range_rejected;
           Alcotest.test_case "negative delay is a no-op" `Quick
             test_negative_delay_rejected;
         ] );

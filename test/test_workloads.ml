@@ -26,7 +26,7 @@ let tiny_spec =
     Experiment.buffer_bytes = 2 * 1024 * 1024;
     Experiment.cache_pages = 512;
     Experiment.threads = 2;
-    Experiment.duration_ns = 10_000_000L;
+    Experiment.duration_ns = 10_000_000;
   }
 
 let small_fb =
@@ -132,7 +132,7 @@ let test_jobs_complete () =
           if r.Workload.jr_ops <= 0 then
             Alcotest.failf "%s on %s did nothing" name (Fixtures.name kind);
           check_bool "elapsed > 0" true
-            (Int64.compare r.Workload.jr_elapsed_ns 0L > 0))
+            (r.Workload.jr_elapsed_ns > 0))
         [
           ("postmark", Postmark.make ~params:small_postmark ());
           ("tpcc", Tpcc.make ~params:small_tpcc ());
@@ -156,7 +156,7 @@ let test_kernel_grep_is_read_only () =
   in
   Alcotest.(check int64) "no user writes" 0L (Stats.user_bytes_written stats);
   check_bool "plenty of reads" true
-    (Int64.compare (Stats.user_bytes_read stats) 100_000L > 0)
+    (Stats.user_bytes_read stats > 100_000)
 
 (* --- traces --- *)
 
@@ -212,14 +212,12 @@ let test_replay_runs_and_breaks_down () =
       in
       check_bool "ops replayed" true (r.Trace.r_ops > 800);
       let sum =
-        Int64.add r.Trace.r_read_ns
-          (Int64.add r.Trace.r_write_ns
-             (Int64.add r.Trace.r_unlink_ns r.Trace.r_fsync_ns))
+        r.Trace.r_read_ns + r.Trace.r_write_ns + r.Trace.r_unlink_ns
+        + r.Trace.r_fsync_ns
       in
-      check_bool "breakdown <= total" true
-        (Int64.compare sum r.Trace.r_elapsed_ns <= 0);
+      check_bool "breakdown <= total" true (sum <= r.Trace.r_elapsed_ns);
       check_bool "breakdown covers most of the total" true
-        (Int64.to_float sum > 0.9 *. Int64.to_float r.Trace.r_elapsed_ns))
+        (float_of_int sum > 0.9 *. float_of_int r.Trace.r_elapsed_ns))
     [ Fixtures.Pmfs_fs; Fixtures.Hinfs_fs ]
 
 (* --- paper-shape sanity checks (small scale) --- *)
