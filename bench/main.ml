@@ -1100,11 +1100,51 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Hinfs_pmfs.Dir.find ctx ~dir "entry999")))
   in
+  (* Encode and release, as the server does: the free list serves every
+     run after the first. *)
   let rdata_4k = Hinfs_server.Wire.R_data (String.make 4096 'd') in
   let wire_encode =
     Test.make ~name:"wire.encode-rdata-4k"
       (Staged.stage (fun () ->
-           ignore (Hinfs_server.Wire.encode_reply rdata_4k)))
+           Hinfs_server.Wire.release (Hinfs_server.Wire.encode_reply rdata_4k)))
+  in
+  (* 1000 client READs of one 4 KB block through a running server; each
+     run spawns the client and steps the engine until it is done. *)
+  let read_rpc =
+    let module Server = Hinfs_server.Server in
+    let module Wire = Hinfs_server.Wire in
+    let engine = Hinfs_sim.Engine.create () in
+    let conn = ref None in
+    let rec step_until_some r =
+      match !r with
+      | Some v -> v
+      | None ->
+        ignore (Hinfs_sim.Engine.step engine);
+        step_until_some r
+    in
+    Hinfs_sim.Engine.spawn engine (fun () ->
+        let d =
+          Hinfs_nvmm.Device.create engine (Hinfs_stats.Stats.create ()) small
+        in
+        let p = Hinfs_pmfs.Pmfs.mkfs_and_mount d ~journal_blocks:32 () in
+        let srv = Server.create engine (Hinfs_pmfs.Pmfs.handle p) in
+        Server.start srv;
+        let sid = Server.establish srv in
+        match Server.rpc srv ~sid (Wire.Create "/f") with
+        | Wire.R_handle (fh, _) ->
+          ignore (Server.rpc srv ~sid (Wire.Write (fh, 0, String.make 4096 'r', true)));
+          conn := Some (srv, sid, fh)
+        | _ -> failwith "server.read-rpc-4k: CREATE failed");
+    let srv, sid, fh = step_until_some conn in
+    Test.make ~name:"server.read-rpc-4k-x1000"
+      (Staged.stage (fun () ->
+           let finished = ref None in
+           Hinfs_sim.Engine.spawn engine (fun () ->
+               for _ = 1 to 1000 do
+                 ignore (Server.rpc srv ~sid (Wire.Read (fh, 0, 4096)))
+               done;
+               finished := Some ());
+           step_until_some finished))
   in
   let tests =
     [
@@ -1117,6 +1157,7 @@ let micro () =
       device_mfence;
       dir_find;
       wire_encode;
+      read_rpc;
     ]
   in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
@@ -1139,7 +1180,7 @@ let micro () =
       | _ -> ())
     results;
   List.iter
-    (fun (name, t) -> Fmt.pf ppf "%-32s %10.1f ns/run@." name t)
+    (fun (name, t) -> Fmt.pf ppf "%-36s %10.1f ns/run@." name t)
     (List.sort compare !rows)
 
 (* ------------------------------------------------------------------ *)

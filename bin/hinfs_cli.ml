@@ -832,12 +832,18 @@ let serve_run fs latency buffer_mb shards clients ops_per_client workers
         in
         Server.start srv;
         let t0 = Hinfs_sim.Proc.now_int () in
+        let gc0 = Gc.quick_stat () in
         let total = Clients.run env.Hinfs_harness.Fixtures.engine srv cfg in
+        let gc1 = Gc.quick_stat () in
         let t1 = Hinfs_sim.Proc.now_int () in
         let cache = Server.cache srv in
+        let words (g : Gc.stat) =
+          g.Gc.minor_words +. g.Gc.major_words -. g.Gc.promoted_words
+        in
         let summary =
           ( total,
             t1 - t0,
+            (words gc1 -. words gc0, gc1.Gc.top_heap_words),
             Server.served srv,
             Server.err_replies srv,
             Server.expired_replies srv,
@@ -851,7 +857,8 @@ let serve_run fs latency buffer_mb shards clients ops_per_client workers
         Server.stop srv;
         summary)
   in
-  let ( total, elapsed_ns, served, errs, expired, (hits, misses, evictions),
+  let ( total, elapsed_ns, (host_words, top_heap_words), served, errs, expired,
+        (hits, misses, evictions),
         (fh_live, fh_total, estales), sess_expired ) =
     cell
   in
@@ -864,6 +871,9 @@ let serve_run fs latency buffer_mb shards clients ops_per_client workers
      ESTALE served; %d session(s) expired@."
     served errs expired hits misses evictions fh_live fh_total estales
     sess_expired;
+  Fmt.pr "# host: %.0f words allocated per request, peak heap %.1f MB@."
+    (host_words /. float_of_int (max 1 served))
+    (float_of_int (top_heap_words * (Sys.word_size / 8)) /. 1048576.0);
   Report.latency Fmt.stdout obs;
   Report.gauges Fmt.stdout obs;
   (match trace_out with

@@ -1,13 +1,20 @@
 (* The request-level serving loop: decode, dispatch, encode.
 
    Architecture is a single shared request queue fanned out to a pool of
-   worker fibers. A client [call] encodes its request, enqueues it with a
+   worker fibers. A client [rpc] encodes its request, enqueues it with a
    waker, and suspends; a worker picks it up, records the queue wait
    (srv.queue, via [span_since] so fan-in cost is visible in the phase
    breakdown), decodes (srv.decode), touches the session lease, runs the
    operation against the VFS, encodes the reply (srv.encode) and wakes
    the client. Durability work — stable WRITEs, COMMIT, flush-on-evict —
    shows up under srv.flush.
+
+   Wire buffers go back to [Wire]'s free list where their last reader
+   is done with them: [serve_one] releases the request right after
+   [decode_req], a WRITE's decoded data after [dispatch] (pwrite copies
+   it), and a READ's data after [encode_reply]; [rpc] releases the
+   reply after [decode_reply]. So no buffer handed to the server may be
+   kept by its sender, and the [R_data] a client gets back is its own.
 
    Identity rules, in one place:
    - handles (Fhandle) are server-global and survive session expiry;
@@ -129,12 +136,14 @@ let dispatch t ~sid (req : Wire.req) : Wire.reply =
   | Read (fh, off, len) ->
     let e = Fhandle.resolve t.handles fh in
     Ofcache.with_open t.cache ~ino:e.ino ~path:e.path ~sid (fun fd ->
-        let buf = Bytes.create len in
+        let buf = Wire.take len in
         let n = t.vfs.Vfs.pread fd ~off buf len in
-        (* [buf] is ours alone: a full read hands it over uncopied. *)
-        Wire.R_data
-          (if n = len then Bytes.unsafe_to_string buf
-           else Bytes.sub_string buf 0 n))
+        if n = len then Wire.R_data (Bytes.unsafe_to_string buf)
+        else begin
+          let data = Bytes.sub_string buf 0 n in
+          Wire.release buf;
+          Wire.R_data data
+        end)
   | Write (fh, off, data, stable) ->
     let e = Fhandle.resolve t.handles fh in
     Ofcache.with_open t.cache ~ino:e.ino ~path:e.path ~sid (fun fd ->
@@ -186,6 +195,7 @@ let serve_one t (p : pending) =
   Obs.span_begin Obs.Srv_decode;
   Proc.delay_int (codec_ns (Bytes.length p.payload));
   let req = Wire.decode_req p.payload in
+  Wire.release p.payload;
   Obs.span_end Obs.Srv_decode;
   let reply =
     if not (Session.touch t.sessions p.sid) then begin
@@ -199,8 +209,14 @@ let serve_one t (p : pending) =
         t.err_replies <- t.err_replies + 1;
         Wire.R_err code
   in
+  (match req with
+  | Write (_, _, data, _) -> Wire.release (Bytes.unsafe_of_string data)
+  | _ -> ());
   Obs.span_begin Obs.Srv_encode;
   let out = Wire.encode_reply reply in
+  (match reply with
+  | R_data data -> Wire.release (Bytes.unsafe_of_string data)
+  | _ -> ());
   Proc.delay_int (codec_ns (Bytes.length out));
   Obs.span_end Obs.Srv_encode;
   t.served <- t.served + 1;
@@ -246,20 +262,21 @@ let stop t =
 
 (* --- client entry points --- *)
 
-let call t ~sid payload =
-  if not t.running then invalid_arg "Server.call: server not running";
-  let enq_at = Proc.now_int () in
-  Proc.suspend (fun waker ->
-      Queue.add { sid; payload; enq_at; waker } t.queue;
-      ignore (Condvar.signal t.work_cv))
-
 (* Encode, round-trip through the queue, decode — with the full
    client-perceived latency (queue wait included) recorded under the
    request's class. *)
 let rpc t ~sid req =
-  let t0 = Proc.now_int () in
-  let reply = Wire.decode_reply (call t ~sid (Wire.encode_req req)) in
-  Obs.span_since (Wire.kind_of_req req) ~t0;
+  if not t.running then invalid_arg "Server.rpc: server not running";
+  let enq_at = Proc.now_int () in
+  let payload = Wire.encode_req req in
+  let out =
+    Proc.suspend (fun waker ->
+        Queue.add { sid; payload; enq_at; waker } t.queue;
+        ignore (Condvar.signal t.work_cv))
+  in
+  let reply = Wire.decode_reply out in
+  Wire.release out;
+  Obs.span_since (Wire.kind_of_req req) ~t0:enq_at;
   reply
 
 let establish t = Session.establish t.sessions

@@ -8,7 +8,19 @@
 
    Encoding is a real byte round-trip, not an in-memory variant pass:
    the dispatch loop decodes what the client encoded, so codec cost and
-   framing bugs are part of what the serve benchmarks measure. *)
+   framing bugs are part of what the serve benchmarks measure.
+
+   Buffers of 2 KB or more are recycled. A fresh 4 KB buffer is over
+   the minor heap's 256-word limit, so it is a major-heap block; smaller
+   ones stay on the minor heap, where they are cheap. Encoders and the
+   string decoder [take] from an exact-size free list, so every message
+   still lands in a buffer of exactly its length, and [release] hands
+   one back. [Server] releases at four points: the request after
+   [decode_req], a WRITE's decoded data after dispatch, a READ's data
+   after [encode_reply], and the reply after [decode_reply]. Nothing may
+   touch a buffer after its release; one never released (a client's
+   [R_data], a decoded path) just stays its holder's. The list is
+   process-global: the simulator runs in one domain. *)
 
 module Types = Hinfs_vfs.Types
 module Errno = Hinfs_vfs.Errno
@@ -97,6 +109,59 @@ let errno_of_code : int -> Errno.t = function
   | 12 -> ESTALE
   | n -> invalid_arg (Printf.sprintf "Wire.errno_of_code: %d" n)
 
+(* --- buffer recycling --- *)
+
+(* A buffer of 2 KB or more needs over 256 words, the largest block the
+   minor heap takes. *)
+let pool_floor = 2048
+
+(* Bytes held across all sizes. A release that would pass it drops the
+   whole list to the GC, so a size that stops recurring cannot pin it. *)
+let pool_cap = 32 * 1024 * 1024
+
+type stack = { mutable bufs : Bytes.t array; mutable n : int }
+
+let free : (int, stack) Hashtbl.t = Hashtbl.create 8
+let held = ref 0
+
+(* A buffer of exactly [len] bytes with unspecified contents. *)
+let take len =
+  if len < pool_floor then Bytes.create len
+  else
+    match Hashtbl.find free len with
+    | s when s.n > 0 ->
+      s.n <- s.n - 1;
+      let b = s.bufs.(s.n) in
+      s.bufs.(s.n) <- Bytes.empty;
+      held := !held - len;
+      b
+    | _ | (exception Not_found) -> Bytes.create len
+
+let release b =
+  let len = Bytes.length b in
+  if len >= pool_floor then begin
+    if !held + len > pool_cap then begin
+      Hashtbl.reset free;
+      held := 0
+    end;
+    let s =
+      match Hashtbl.find free len with
+      | s -> s
+      | exception Not_found ->
+        let s = { bufs = [||]; n = 0 } in
+        Hashtbl.add free len s;
+        s
+    in
+    if s.n = Array.length s.bufs then begin
+      let bufs = Array.make (max 8 (2 * s.n)) Bytes.empty in
+      Array.blit s.bufs 0 bufs 0 s.n;
+      s.bufs <- bufs
+    end;
+    s.bufs.(s.n) <- b;
+    s.n <- s.n + 1;
+    held := !held + len
+  end
+
 (* --- primitives ---
 
    Encoders size the message first, then write it once into a buffer of
@@ -104,7 +169,7 @@ let errno_of_code : int -> Errno.t = function
 
 type writer = { buf : Bytes.t; mutable at : int }
 
-let writer size = { buf = Bytes.create size; at = 0 }
+let writer size = { buf = take size; at = 0 }
 
 let finish w =
   assert (w.at = Bytes.length w.buf);
@@ -142,9 +207,10 @@ let get_bool buf pos =
 
 let get_str buf pos =
   let n = get_int buf pos in
-  let s = Bytes.sub_string buf !pos n in
+  let s = take n in
+  Bytes.blit buf !pos s 0 n;
   pos := !pos + n;
-  s
+  Bytes.unsafe_to_string s
 
 let stat_size = 48
 

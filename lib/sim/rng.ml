@@ -2,27 +2,39 @@
 
    Every workload generator owns its own Rng seeded from the experiment
    configuration, so runs are reproducible bit-for-bit regardless of how
-   processes interleave. *)
+   processes interleave.
 
-type t = { mutable state : int64 }
+   The state lives unboxed in 8 bytes and [mix] is inlined into every
+   draw, so [int], [int_in_range], [bool] and [chance] allocate nothing;
+   only [next_int64] boxes its result. *)
 
-let create ~seed = { state = seed }
+type t = Bytes.t
 
-let copy t = { state = t.state }
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let create ~seed =
+  let t = Bytes.create 8 in
+  set_state t 0 seed;
+  t
+
+let copy = Bytes.copy
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let next_int64 t =
+let[@inline] mix t =
   let open Int64 in
-  t.state <- add t.state golden_gamma;
-  let z = t.state in
+  let z = add (get_state t 0) golden_gamma in
+  set_state t 0 z;
   let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
-let bits53 t = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11)
+let next_int64 t = mix t
 
-let float t =
+let[@inline] bits53 t = Int64.to_int (Int64.shift_right_logical (mix t) 11)
+
+let[@inline] float t =
   (* 53 uniform bits scaled into [0, 1). *)
   float_of_int (bits53 t) /. 9007199254740992.0
 
@@ -36,7 +48,7 @@ let int_in_range t ~lo ~hi =
   if hi < lo then invalid_arg "Rng.int_in_range: empty range";
   lo + int t (hi - lo + 1)
 
-let bool t = Int64.logand (next_int64 t) 1L = 1L
+let bool t = Int64.logand (mix t) 1L = 1L
 
 let chance t p = float t < p
 

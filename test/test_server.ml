@@ -128,6 +128,30 @@ let test_codec_golden_bytes () =
       (Wire.R_expired, "07");
     ]
 
+(* The free list hands a released buffer back only for a request of its
+   exact size, leaves buffers under the floor to the minor heap, and
+   drops everything it holds rather than pass its cap. *)
+let test_free_list_exact_size () =
+  let big = Wire.take 4096 in
+  Wire.release big;
+  check_bool "other size is a fresh buffer" true (Wire.take 4097 != big);
+  let again = Wire.take 4096 in
+  check_bool "same size is recycled" true (again == big);
+  check_bool "list drained" true (Wire.take 4096 != big);
+  let small = Wire.take 100 in
+  Wire.release small;
+  check_bool "under the floor is never recycled" true (Wire.take 100 != small);
+  (* 33 MB released against a 32 MB cap: the list starts over *)
+  let mb = 1024 * 1024 in
+  let first = Wire.take mb in
+  Wire.release first;
+  for _ = 1 to 32 do
+    Wire.release (Bytes.create mb)
+  done;
+  let kept = List.init 33 (fun _ -> Wire.take mb) in
+  check_bool "past the cap the list is dropped" false
+    (List.exists (fun b -> b == first) kept)
+
 (* --- helpers --- *)
 
 let expect_handle = function
@@ -153,6 +177,21 @@ let with_server ?workers ?cache_cap ?lease_ns engine vfs f =
   let srv = Server.create ?workers ?cache_cap ?lease_ns engine vfs in
   Server.start srv;
   Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f srv)
+
+(* Words allocated straight on the major heap (not promoted from the
+   minor heap) per call of [f], over [n] calls. *)
+let large_words_per_call n f =
+  let _, p0, m0 = Gc.counters () in
+  for _ = 1 to n do
+    f ()
+  done;
+  let _, p1, m1 = Gc.counters () in
+  (m1 -. m0 -. (p1 -. p0)) /. float_of_int n
+
+let fill_file rpc path ch =
+  let fh, _ = expect_handle (rpc (Wire.Create path)) in
+  expect_ok (rpc (Wire.Write (fh, 0, String.make 4096 ch, true)));
+  fh
 
 (* --- end-to-end request loop --- *)
 
@@ -356,6 +395,114 @@ let test_quarantined_evict_eio () =
           check_string "healthy shard unaffected" "ok"
             (expect_data (rpc (Wire.Read (fh2, 0, 2))))))
 
+(* --- recycled wire buffers --- *)
+
+(* A 4 KB READ takes its READ buffer and reply from the free list; only
+   the client's R_data string is a fresh large block (513 words). *)
+let test_read_rpc_large_blocks () =
+  Testkit.run_sim (fun engine ->
+      let _d, fs = Testkit.make_hinfs engine in
+      with_server engine (Fs.handle fs) (fun srv ->
+          let sid = Server.establish srv in
+          let rpc r = Server.rpc srv ~sid r in
+          let fh = fill_file rpc "/f" 'r' in
+          let read () = ignore (expect_data (rpc (Wire.Read (fh, 0, 4096)))) in
+          for _ = 1 to 16 do
+            read ()
+          done;
+          let words = large_words_per_call 200 read in
+          check_bool
+            (Fmt.str "%.0f large words per READ <= 600" words)
+            true (words <= 600.0)))
+
+(* A 4 KB WRITE recycles the request and the decoded data: no large
+   block beyond the caller's own payload. *)
+let test_write_rpc_large_blocks () =
+  Testkit.run_sim (fun engine ->
+      let _d, fs = Testkit.make_hinfs engine in
+      with_server engine (Fs.handle fs) (fun srv ->
+          let sid = Server.establish srv in
+          let rpc r = Server.rpc srv ~sid r in
+          let fh = fill_file rpc "/f" 'w' in
+          let payload = String.make 4096 'x' in
+          let write () = expect_ok (rpc (Wire.Write (fh, 0, payload, false))) in
+          for _ = 1 to 16 do
+            write ()
+          done;
+          let words = large_words_per_call 200 write in
+          check_bool
+            (Fmt.str "%.0f large words per WRITE < 64" words)
+            true (words < 64.0)))
+
+(* A client's R_data must not share storage with any recycled buffer:
+   1000 later READs of other fill bytes, half of them short, leave every
+   earlier reply as it was. The READs must also have been served from recycled buffers, or
+   the check proves nothing. *)
+let test_rdata_not_aliased () =
+  Testkit.run_sim (fun engine ->
+      let _d, fs = Testkit.make_hinfs engine in
+      with_server engine (Fs.handle fs) (fun srv ->
+          let sid = Server.establish srv in
+          let rpc r = Server.rpc srv ~sid r in
+          let fills = List.init 26 (fun i -> Char.chr (97 + i)) in
+          let fhs =
+            Array.of_list
+              (List.map (fun ch -> (ch, fill_file rpc (Fmt.str "/%c" ch) ch)) fills)
+          in
+          let first = expect_data (rpc (Wire.Read (snd fhs.(0), 0, 4096))) in
+          let kept = ref [] in
+          let i = ref 0 in
+          let words =
+            large_words_per_call 1000 (fun () ->
+                incr i;
+                let ch, fh = fhs.(1 + (!i mod 25)) in
+                (* every other READ asks past EOF: a short read *)
+                let len = if !i mod 2 = 0 then 4096 else 8192 in
+                kept := (ch, expect_data (rpc (Wire.Read (fh, 0, len)))) :: !kept)
+          in
+          check_string "first reply unchanged" (String.make 4096 'a') first;
+          List.iter
+            (fun (ch, d) ->
+              check_bool (Fmt.str "reply of %c unchanged" ch) true
+                (String.length d = 4096 && String.for_all (Char.equal ch) d))
+            !kept;
+          check_bool
+            (Fmt.str "%.0f large words per READ <= 600" words)
+            true (words <= 600.0)))
+
+(* 64 clients at once, each writing and reading back its own fill bytes
+   through 8 workers: every read returns only the client's own data. *)
+let test_concurrent_clients_own_data () =
+  Testkit.run_sim (fun engine ->
+      let _d, fs = Testkit.make_hinfs engine in
+      with_server engine (Fs.handle fs) (fun srv ->
+          let clients = 64 and rounds = 20 in
+          let remaining = ref clients and bad = ref 0 in
+          let _, p0, m0 = Gc.counters () in
+          for c = 0 to clients - 1 do
+            Proc.spawn (fun () ->
+                let sid = Server.establish srv in
+                let rpc r = Server.rpc srv ~sid r in
+                let fh, _ = expect_handle (rpc (Wire.Create (Fmt.str "/c%d" c))) in
+                for r = 1 to rounds do
+                  let ch = Char.chr (33 + ((c * 7) + r) mod 90) in
+                  expect_ok (rpc (Wire.Write (fh, 0, String.make 4096 ch, r mod 4 = 0)));
+                  let d = expect_data (rpc (Wire.Read (fh, 0, 4096))) in
+                  if not (String.for_all (Char.equal ch) d) then incr bad
+                done;
+                decr remaining)
+          done;
+          while !remaining > 0 do
+            Proc.delay_int 100_000
+          done;
+          let _, p1, m1 = Gc.counters () in
+          check_int "every read saw only its own client's data" 0 !bad;
+          (* per round: the caller's payload and the R_data string *)
+          let words = (m1 -. m0 -. (p1 -. p0)) /. float_of_int (clients * rounds) in
+          check_bool
+            (Fmt.str "%.0f large words per round <= 1200" words)
+            true (words <= 1200.0)))
+
 (* --- handle-table determinism across seeded runs --- *)
 
 let fleet_run () =
@@ -394,6 +541,18 @@ let () =
           Alcotest.test_case "codec round-trip" `Quick test_codec_roundtrip;
           Alcotest.test_case "codec golden bytes" `Quick
             test_codec_golden_bytes;
+          Alcotest.test_case "free list recycles exact sizes" `Quick
+            test_free_list_exact_size;
+        ] );
+      ( "recycling",
+        [
+          Alcotest.test_case "READ rpc large blocks" `Quick
+            test_read_rpc_large_blocks;
+          Alcotest.test_case "WRITE rpc large blocks" `Quick
+            test_write_rpc_large_blocks;
+          Alcotest.test_case "R_data not aliased" `Quick test_rdata_not_aliased;
+          Alcotest.test_case "concurrent clients read own data" `Quick
+            test_concurrent_clients_own_data;
         ] );
       ( "serve",
         [

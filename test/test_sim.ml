@@ -419,6 +419,60 @@ let test_rng_deterministic () =
     check_i64 "same stream" (Rng.next_int64 a) (Rng.next_int64 b)
   done
 
+(* The stream every seeded run depends on, pinned: the first 32 raw
+   outputs for one seed, and the derived draws for another. *)
+let test_rng_golden () =
+  let rng = Rng.create ~seed:42L in
+  List.iteri
+    (fun i want -> check_i64 (Fmt.str "output %d" i) want (Rng.next_int64 rng))
+    [
+      0xbdd732262feb6e95L; 0x28efe333b266f103L; 0x47526757130f9f52L;
+      0x581ce1ff0e4ae394L; 0x09bc585a244823f2L; 0xde4431fa3c80db06L;
+      0x37e9671c45376d5dL; 0xccf635ee9e9e2fa4L; 0x5705b8770b3d7dd5L;
+      0x9e54d738297f77aeL; 0x3474724a775b19bfL; 0x7e348a0e451650beL;
+      0x836ded897f3e46e6L; 0x851f977347ed6db7L; 0xaa47e31c02e78edcL;
+      0x341452c54d7c33f2L; 0x1a83d752f35eba75L; 0x7ed90003f67f9e1dL;
+      0x17eadff448a86a07L; 0xb05eca1a2972b860L; 0xf513444b6455a3e8L;
+      0x12b3a6dd261f6e99L; 0x998d8fb100ca15d5L; 0x9eac75d45474c891L;
+      0x12fc33f229b7b950L; 0x470ea7e37990e511L; 0xbdf25b150620a835L;
+      0xc9167e198fb9991fL; 0xf1222631cdc86d07L; 0xb1b59f1b53585e43L;
+      0xca376da14213d975L; 0xd72c1692509d2c5eL;
+    ];
+  let rng = Rng.create ~seed:2024L in
+  List.iteri
+    (fun i (n, f, r, b) ->
+      check_int (Fmt.str "int %d" i) n (Rng.int rng 1000);
+      check_bool (Fmt.str "float %d" i) true (Float.equal f (Rng.float rng));
+      check_int (Fmt.str "int_in_range %d" i) r
+        (Rng.int_in_range rng ~lo:(-5) ~hi:5);
+      check_bool (Fmt.str "bool %d" i) b (Rng.bool rng))
+    [
+      (213, 0x1.8e430bb1511fp-4, -5, true);
+      (256, 0x1.1ad6f6dad28abp-1, 1, false);
+      (220, 0x1.b519ee1370d8p-2, 1, true);
+      (805, 0x1.52ab878fb3a75p-1, -5, true);
+      (672, 0x1.5b2b089fbbcfep-2, 5, true);
+      (223, 0x1.531f164014925p-1, -4, false);
+      (303, 0x1.d341ec7998bd1p-1, 2, true);
+      (100, 0x1.88ccf075698p-3, -1, false);
+    ]
+
+(* Allocation budget of a draw: [int], [int_in_range] and [chance]
+   return immediates from an unboxed state, so 0 words per call. *)
+let test_rng_draws_do_not_allocate () =
+  let rng = Rng.create ~seed:5L in
+  let n = 10_000 in
+  let sink = ref 0 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    sink := !sink + Rng.int rng 1000 + Rng.int_in_range rng ~lo:1 ~hi:6;
+    if Rng.chance rng 0.5 then incr sink
+  done;
+  let w1 = Gc.minor_words () in
+  check_bool "draws happened" true (!sink > 0);
+  check_bool (Fmt.str "%.0f words for %d draws = 0" (w1 -. w0) (3 * n)) true
+    (w1 -. w0 < 1.0)
+
 let test_rng_bounds () =
   let rng = Rng.create ~seed:3L in
   for _ = 1 to 10_000 do
@@ -522,6 +576,9 @@ let () =
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
+          Alcotest.test_case "golden stream" `Quick test_rng_golden;
+          Alcotest.test_case "draws do not allocate" `Quick
+            test_rng_draws_do_not_allocate;
           Alcotest.test_case "bounds" `Quick test_rng_bounds;
           Alcotest.test_case "zipf skew" `Quick test_zipf_skew;
           Alcotest.test_case "zipf uniform" `Quick test_zipf_uniform_theta0;
