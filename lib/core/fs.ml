@@ -98,10 +98,12 @@ let create ?(hcfg = Hconfig.default) ?(sync_mount = false) pmfs =
   let config = Device.config device in
   (* One pool slice per persistent shard; the DRAM budget is divided
      evenly. The shard count is a mount property (superblock geometry) so
-     the DRAM and NVMM partitions always agree. *)
+     the DRAM and NVMM partitions always agree. A slice never holds more
+     blocks than the device has. *)
   let nshards = Pmfs.shard_count pmfs in
   let capacity =
-    max 8 (hcfg.Hconfig.buffer_bytes / config.Config.block_size / nshards)
+    Int.min (Config.blocks config)
+      (max 8 (hcfg.Hconfig.buffer_bytes / config.Config.block_size / nshards))
   in
   {
     pmfs;
@@ -320,9 +322,8 @@ and flush_block_body ~background ~cat t b ~evict =
           Clbitmap.diff (Clbitmap.full_mask nlines) b.Buffer_pool.home_valid
         in
         Clbitmap.iter_set_runs missing ~nlines (fun ~first ~count ->
-            let zeros = Bytes.make (count * cl) '\000' in
             Device.write_nt ~background dev ~cat ~addr:(home_addr + (first * cl))
-              ~src:zeros ~off:0 ~len:(count * cl));
+              ~src:Device.zeros ~off:0 ~len:(count * cl));
         if not (Clbitmap.is_empty missing) then Device.mfence dev ~cat;
         b.Buffer_pool.home_valid <- Clbitmap.full_mask nlines
       end);

@@ -241,7 +241,7 @@ let image_key ~base_digest (state : Device.crash_state) vec =
 (* Materialise every image of [state] among [vecs] not yet in [seen] and
    hand it to [visit], as long as [more ()] holds. *)
 let iter_new_images ~seen ?(more = fun () -> true) state vecs visit =
-  let base_digest = Digest.bytes state.Device.cs_image in
+  let base_digest = Device.image_digest state.Device.cs_image in
   List.iter
     (fun vec ->
       let key = image_key ~base_digest state vec in

@@ -1,7 +1,8 @@
 (* Byte-addressable NVMM device with an explicit CPU-cache model.
 
    Two layers of state:
-   - [persistent]: the NVMM medium itself; survives [crash].
+   - [chunks]: the NVMM medium itself; survives [crash]. See "the medium"
+     below for its chunked, copy-on-write storage.
    - [overlay]: cachelines currently dirty in the (volatile) CPU cache.
      Ordinary stores ([write_cached], [set_u*]) land here and are lost on
      [crash] until [clflush]ed. Non-temporal stores ([write_nt]) bypass the
@@ -65,11 +66,42 @@ module Record = struct
     }
 end
 
+(* --- the medium ---
+
+   The medium is an array of fixed 64 KB chunks. A chunk is either ours
+   alone, and written in place, or shared read-only: with the zero chunk,
+   with an [image], or with other devices built from one. The first store
+   to a shared chunk copies it (copy-on-write), so [snapshot],
+   [capture_crash_state], [of_snapshot] and [materialize_crash_image] share
+   chunks instead of copying the medium.
+
+   [create] allocates every chunk buffer up front but fills none: until its
+   first store a chunk reads from [zeros], and that store zero-fills the
+   buffer set aside for it. Untouched chunks never fault in their pages.
+   64 KB keeps the chunk count small (6,144 for 384 MB) while each fresh
+   buffer touches only its header page. *)
+
+let chunk_bits = 16
+let chunk_size = 1 lsl chunk_bits
+let chunk_mask = chunk_size - 1
+
+let zeros = Bytes.make chunk_size '\000'
+
+(* Marks a chunk with no buffer of ours. *)
+let no_buffer = Bytes.empty
+
+(* A medium's content: its size and its chunks, all shared read-only. *)
+type image = { im_size : int; im_chunks : Bytes.t array }
+
 type t = {
   engine : Hinfs_sim.Engine.t;
   stats : Hinfs_stats.Stats.t;
   config : Config.t;
-  persistent : Bytes.t;
+  chunks : Bytes.t array; (* chunk i holds [i * chunk_size, ...) *)
+  mine : Bytes.t array;
+      (* chunk i's buffer that only this device holds: [chunks.(i)] itself
+         when ours; else the unfilled buffer [create] set aside, while
+         [chunks.(i)] is still [zeros]; else [no_buffer] *)
   overlay : (int, Bytes.t) Hashtbl.t; (* cacheline index -> line content *)
   dirty : Bytes.t; (* one bit per cacheline: set iff [overlay] holds it *)
   line_bits : int; (* log2 of the cacheline size, a power of two *)
@@ -84,7 +116,7 @@ type t = {
    candidate per line independently. *)
 type crash_state = {
   cs_label : string;
-  cs_image : Bytes.t; (* guaranteed medium content *)
+  cs_image : image; (* guaranteed medium content *)
   cs_line_size : int;
   cs_choices : (int * Bytes.t array) list; (* line idx (ascending) -> candidates *)
 }
@@ -97,14 +129,16 @@ module Obs = Hinfs_obs.Obs
 
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
-let make engine stats config persistent =
+let make engine stats config ~chunks ~mine =
   let ls = config.Config.cacheline_size in
-  let lines = (Bytes.length persistent + ls - 1) / ls in
+  if ls > chunk_size then invalid_arg "Device: cacheline larger than a chunk";
+  let lines = (config.Config.nvmm_size + ls - 1) / ls in
   {
     engine;
     stats;
     config;
-    persistent;
+    chunks;
+    mine;
     overlay = Hashtbl.create 4096;
     dirty = Bytes.make ((lines + 7) / 8) '\000';
     line_bits = log2 ls;
@@ -117,7 +151,9 @@ let make engine stats config persistent =
 
 let create engine stats config =
   let config = Config.validate config in
-  make engine stats config (Bytes.make config.Config.nvmm_size '\000')
+  let n = (config.Config.nvmm_size + chunk_mask) lsr chunk_bits in
+  make engine stats config ~chunks:(Array.make n zeros)
+    ~mine:(Array.init n (fun _ -> Bytes.create chunk_size))
 
 let config t = t.config
 let size t = t.config.Config.nvmm_size
@@ -132,6 +168,54 @@ let check_range t ~addr ~len =
   if addr < 0 || addr + len > size t then
     Fmt.invalid_arg "Device: range [%d, %d) out of bounds (size %d)" addr
       (addr + len) (size t)
+
+(* --- medium access --- *)
+
+(* Chunk [i], made ours to write in place: the first store zero-fills the
+   buffer [create] set aside, or copies a shared chunk. *)
+let own_chunk t i =
+  let b = t.mine.(i) in
+  let c =
+    if b == no_buffer then Bytes.copy t.chunks.(i)
+    else begin
+      Bytes.fill b 0 chunk_size '\000';
+      b
+    end
+  in
+  t.chunks.(i) <- c;
+  t.mine.(i) <- c;
+  c
+
+let[@inline] writable_chunk t i =
+  let c = t.chunks.(i) in
+  if c == t.mine.(i) then c else own_chunk t i
+
+(* Copy medium [addr, addr + len) into [dst] at [off], chunk by chunk. *)
+let blit_from_medium t ~addr dst ~off ~len =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let o = a land chunk_mask in
+    let n = Int.min (len - !pos) (chunk_size - o) in
+    Bytes.blit t.chunks.(a lsr chunk_bits) o dst (off + !pos) n;
+    pos := !pos + n
+  done
+
+(* Store [src] from [off] to medium [addr, addr + len), chunk by chunk. *)
+let blit_to_medium t ~src ~off ~addr ~len =
+  let pos = ref 0 in
+  while !pos < len do
+    let a = addr + !pos in
+    let o = a land chunk_mask in
+    let n = Int.min (len - !pos) (chunk_size - o) in
+    Bytes.blit src (off + !pos) (writable_chunk t (a lsr chunk_bits)) o n;
+    pos := !pos + n
+  done
+
+(* A cacheline never straddles a chunk: both sizes are powers of two. *)
+let medium_line t idx =
+  let addr = idx lsl t.line_bits in
+  Bytes.sub t.chunks.(addr lsr chunk_bits) (addr land chunk_mask) (line_size t)
 
 (* Timed ops charge their virtual time to [cat] inline. A plain delay
    advances the clock by exactly its length, so [spend] adds [ns] without
@@ -170,8 +254,7 @@ let set_dirty_bit t idx on =
 let overlay_line t idx =
   if is_dirty_line t idx then Hashtbl.find t.overlay idx
   else begin
-    let line = Bytes.create (line_size t) in
-    Bytes.blit t.persistent (idx * line_size t) line 0 (line_size t);
+    let line = medium_line t idx in
     Hashtbl.replace t.overlay idx line;
     set_dirty_bit t idx true;
     line
@@ -220,13 +303,8 @@ let record_line t (r : Record.t) idx =
   match Hashtbl.find_opt r.Record.lines idx with
   | Some rl -> rl
   | None ->
-    let ls = line_size t in
     let rl =
-      {
-        Record.base = Bytes.sub t.persistent (idx * ls) ls;
-        versions = [];
-        store_epoch = -1;
-      }
+      { Record.base = medium_line t idx; versions = []; store_epoch = -1 }
     in
     Hashtbl.replace r.Record.lines idx rl;
     rl
@@ -296,7 +374,7 @@ let record_nt_post t ~addr ~len =
         rl.Record.versions
         @ [
             {
-              Record.content = Bytes.sub t.persistent (idx * ls) ls;
+              Record.content = medium_line t idx;
               flushed = true;
             };
           ];
@@ -437,7 +515,7 @@ let read t ~cat ~addr ~len ~into ~off =
     (* The loads have happened: poisoned/transient-faulting lines machine-
        check here, after the access paid its latency. *)
     fault_check_load t ~addr ~len;
-    Bytes.blit t.persistent addr into off len;
+    blit_from_medium t ~addr into ~off ~len;
     patch_dirty t ~addr ~len ~into ~off;
     Stats.add_nvmm_read t.stats len
   end
@@ -474,7 +552,7 @@ let write_nt ?(background = false) t ~cat ~addr ~src ~off ~len =
     stream t lines;
     Stats.add_time t.stats cat (Proc.now_int () - t0);
     record_nt_pre t ~addr ~len;
-    Bytes.blit src off t.persistent addr len;
+    blit_to_medium t ~src ~off ~addr ~len;
     invalidate_cached t ~addr ~src ~off ~len;
     record_nt_post t ~addr ~len;
     fault_store_range t ~addr ~len;
@@ -503,7 +581,10 @@ let persist_line t idx =
   if is_dirty_line t idx then begin
     let line = Hashtbl.find t.overlay idx in
     record_flush t idx line;
-    Bytes.blit line 0 t.persistent (idx * line_size t) (line_size t);
+    let addr = idx lsl t.line_bits in
+    Bytes.blit line 0
+      (writable_chunk t (addr lsr chunk_bits))
+      (addr land chunk_mask) (line_size t);
     overlay_remove t idx;
     fault_store_line t idx
   end
@@ -547,15 +628,16 @@ let mfence t ~cat =
    charge per syscall). Stores go through the cached-write path so that
    crash semantics remain exact. *)
 
-let peek t ~addr ~len =
-  check_range t ~addr ~len;
-  let buf = Bytes.sub t.persistent addr len in
-  if len > 0 then patch_dirty t ~addr ~len ~into:buf ~off:0;
-  buf
-
 let peek_persistent t ~addr ~len =
   check_range t ~addr ~len;
-  Bytes.sub t.persistent addr len
+  let buf = Bytes.create len in
+  blit_from_medium t ~addr buf ~off:0 ~len;
+  buf
+
+let peek t ~addr ~len =
+  let buf = peek_persistent t ~addr ~len in
+  if len > 0 then patch_dirty t ~addr ~len ~into:buf ~off:0;
+  buf
 
 (* Untimed raw store, for mkfs-time initialisation and tests. Writes the
    medium directly and drops any cached copy. *)
@@ -563,7 +645,7 @@ let poke t ~addr ~src ~off ~len =
   check_range t ~addr ~len;
   record_forget t ~addr ~len;
   fault_heal_range t ~addr ~len;
-  Bytes.blit src off t.persistent addr len;
+  blit_to_medium t ~src ~off ~addr ~len;
   if len > 0 then begin
     let ls = line_size t in
     let first = addr / ls and last = (addr + len - 1) / ls in
@@ -584,7 +666,7 @@ let poke_flushed t ~addr ~src ~off ~len =
   check_range t ~addr ~len;
   if len > 0 then begin
     record_nt_pre t ~addr ~len;
-    Bytes.blit src off t.persistent addr len;
+    blit_to_medium t ~src ~off ~addr ~len;
     invalidate_cached t ~addr ~src ~off ~len;
     record_nt_post t ~addr ~len;
     fault_heal_range t ~addr ~len
@@ -607,7 +689,7 @@ let[@inline] load t addr n get =
   else
     let idx = addr lsr t.line_bits in
     if is_dirty_line t idx then get (Hashtbl.find t.overlay idx) o
-    else get t.persistent addr
+    else get t.chunks.(addr lsr chunk_bits) (addr land chunk_mask)
 
 let get_u8 t addr = load t addr 1 Bytes.get_uint8
 let get_u16 t addr = load t addr 2 Bytes.get_uint16_le
@@ -631,8 +713,13 @@ let equal_string t ~addr s =
     let line_end = ((idx + 1) lsl bits) - addr in
     let stop = if line_end < len then line_end else len in
     let dirty = is_dirty_line t idx in
-    let src = if dirty then Hashtbl.find t.overlay idx else t.persistent in
-    let shift = if dirty then addr - (idx lsl bits) else addr in
+    let line_addr = idx lsl bits in
+    let src =
+      if dirty then Hashtbl.find t.overlay idx
+      else t.chunks.(line_addr lsr chunk_bits)
+    in
+    let base = if dirty then line_addr else line_addr land lnot chunk_mask in
+    let shift = addr - base in
     while !equal && !i < stop do
       if Bytes.unsafe_get src (shift + !i) <> String.unsafe_get s !i then
         equal := false;
@@ -675,17 +762,32 @@ let crash t =
   | None -> ()
   | Some r -> Hashtbl.reset r.Record.lines
 
-(* Copy of the persistent medium (what a crash would leave). *)
-let snapshot t = Bytes.copy t.persistent
+(* The persistent medium (what a crash would leave), sharing our chunks:
+   from now on both sides copy a chunk before they store to it. *)
+let snapshot t =
+  Array.iteri
+    (fun i c -> if c == t.mine.(i) then t.mine.(i) <- no_buffer)
+    t.chunks;
+  { im_size = size t; im_chunks = Array.copy t.chunks }
 
-(* A fresh device initialised from a snapshot: used by crash-consistency
-   tests to mount and inspect the post-crash image while the pre-crash
-   simulation keeps running. *)
+(* A fresh device on an image's chunks: used by crash-consistency tests to
+   mount and inspect the post-crash image while the pre-crash simulation
+   keeps running. *)
 let of_snapshot engine stats config image =
   let config = Config.validate config in
-  if Bytes.length image <> config.Config.nvmm_size then
+  if image.im_size <> config.Config.nvmm_size then
     invalid_arg "Device.of_snapshot: image size mismatch";
-  make engine stats config (Bytes.copy image)
+  make engine stats config ~chunks:(Array.copy image.im_chunks)
+    ~mine:(Array.make (Array.length image.im_chunks) no_buffer)
+
+(* Content key: equal iff the images hold the same bytes. *)
+let image_digest image =
+  Array.to_list image.im_chunks
+  |> List.mapi (fun i c ->
+         Digest.subbytes c 0
+           (Int.min chunk_size (image.im_size - (i lsl chunk_bits))))
+  |> String.concat ""
+  |> Digest.string
 
 (* Test/setup helper: persist every dirty line through the same path as
    [clflush], then make the result guaranteed (flush-all acts as flush +
@@ -752,7 +854,7 @@ let capture_crash_state ?(label = "crash") t =
       | Some rl ->
         rl.Record.base
         :: List.map (fun v -> v.Record.content) rl.Record.versions
-      | None -> [ Bytes.sub t.persistent (idx * ls) ls ]
+      | None -> [ medium_line t idx ]
     in
     let cands =
       match Hashtbl.find_opt t.overlay idx with
@@ -796,18 +898,24 @@ let capture_crash_state ?(label = "crash") t =
     t.overlay;
   {
     cs_label = label;
-    cs_image = Bytes.copy t.persistent;
+    cs_image = snapshot t;
     cs_line_size = ls;
     cs_choices = List.sort (fun (a, _) (b, _) -> compare a b) !choices;
   }
 
 (* Concrete crash image: the guaranteed medium with [choice.(i)] picking
-   the persisted candidate for the i-th undecided line. *)
+   the persisted candidate for the i-th undecided line. It shares the
+   state's chunks, copying only those that hold an undecided line. *)
 let materialize_crash_image state ~choice =
-  let img = Bytes.copy state.cs_image in
+  let base = state.cs_image.im_chunks in
+  let chunks = Array.copy base in
+  let ls = state.cs_line_size in
   List.iteri
     (fun i (idx, cands) ->
-      let c = cands.(choice.(i)) in
-      Bytes.blit c 0 img (idx * state.cs_line_size) state.cs_line_size)
+      let line = cands.(choice.(i)) in
+      let addr = idx * ls in
+      let ci = addr lsr chunk_bits and o = addr land chunk_mask in
+      if chunks.(ci) == base.(ci) then chunks.(ci) <- Bytes.copy base.(ci);
+      Bytes.blit line 0 chunks.(ci) o ls)
     state.cs_choices;
-  img
+  { state.cs_image with im_chunks = chunks }

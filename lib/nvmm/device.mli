@@ -5,9 +5,22 @@
     and are lost on {!crash} until {!clflush}ed; non-temporal stores
     ({!write_nt}) reach the medium directly. Data-path operations consume
     virtual time and must be called from inside a simulation process; every
-    cacheline streamed to the medium holds one of the N_w bandwidth slots. *)
+    cacheline streamed to the medium holds one of the N_w bandwidth slots.
+
+    The medium is stored as fixed 64 KB chunks. A chunk reads as zeros
+    until its first store, and chunks are shared copy-on-write between a
+    device and the {!image}s taken of it. *)
 
 type t
+
+type image
+(** The content of a whole medium, immutable. Taking one ({!snapshot},
+    {!capture_crash_state}) or building on one ({!of_snapshot}) shares
+    chunks instead of copying the medium. *)
+
+val zeros : Bytes.t
+(** 64 KB of zeros, read-only: the source for zeroing stores of up to
+    64 KB. Never write into it. *)
 
 val create :
   Hinfs_sim.Engine.t -> Hinfs_stats.Stats.t -> Config.t -> t
@@ -131,13 +144,18 @@ val dirty_line_addrs : t -> int list
 val crash : t -> unit
 (** Drop the volatile overlay: everything not flushed is lost. *)
 
-val snapshot : t -> Bytes.t
-(** Copy of the persistent medium — the image a crash would leave. *)
+val snapshot : t -> image
+(** The persistent medium — the image a crash would leave. Later stores to
+    [t] do not change it. *)
 
 val of_snapshot :
-  Hinfs_sim.Engine.t -> Hinfs_stats.Stats.t -> Config.t -> Bytes.t -> t
+  Hinfs_sim.Engine.t -> Hinfs_stats.Stats.t -> Config.t -> image -> t
 (** Fresh device initialised from a {!snapshot} (crash-consistency
-    testing). *)
+    testing). Its stores do not change the image. *)
+
+val image_digest : image -> Digest.t
+(** Content key: two images of one size get the same digest iff they hold
+    the same bytes. *)
 
 val flush_all_untimed : t -> unit
 (** Push the whole overlay to the medium without charging time, through the
@@ -154,7 +172,7 @@ val flush_all_untimed : t -> unit
 
 type crash_state = {
   cs_label : string;
-  cs_image : Bytes.t;  (** guaranteed medium content *)
+  cs_image : image;  (** guaranteed medium content *)
   cs_line_size : int;
   cs_choices : (int * Bytes.t array) list;
       (** per undecided cacheline (index ascending): the legal candidate
@@ -181,7 +199,7 @@ val pending_choice_lines : t -> int
 
 val capture_crash_state : ?label:string -> t -> crash_state
 
-val materialize_crash_image : crash_state -> choice:int array -> Bytes.t
+val materialize_crash_image : crash_state -> choice:int array -> image
 (** Concrete crash image: the guaranteed medium with [choice.(i)] selecting
     the persisted candidate of the [i]-th undecided line. Feed the result
     to {!of_snapshot}. *)

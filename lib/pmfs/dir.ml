@@ -161,10 +161,9 @@ let add ctx txn ~dir name ~ino =
         in
         allocated := blocks;
         if fresh then begin
-          let zero = Bytes.make geo.Layout.block_size '\000' in
           Device.write_nt device ~cat:mcat
             ~addr:(Fs_ctx.block_addr ctx block)
-            ~src:zero ~off:0 ~len:(Bytes.length zero)
+            ~src:Device.zeros ~off:0 ~len:geo.Layout.block_size
         end;
         let inode_addr = Layout.Inode.addr geo dir in
         Log.log (Fs_ctx.log_for ctx ~ino:dir) txn ~addr:inode_addr ~len:40;

@@ -189,11 +189,10 @@ let mkfs device ?journal_blocks ?inodes_per_mb ?shards () =
     Layout.geometry_of_config ?journal_blocks ?inodes_per_mb ?shards config
   in
   (* Zero the metadata regions. *)
-  let zero = Bytes.make geo.Layout.block_size '\000' in
   for b = 0 to geo.Layout.data_start - 1 do
     Device.poke device
       ~addr:(b * geo.Layout.block_size)
-      ~src:zero ~off:0 ~len:geo.Layout.block_size
+      ~src:Device.zeros ~off:0 ~len:geo.Layout.block_size
   done;
   (* Root directory inode. *)
   let root = Bytes.make Layout.inode_size '\000' in
@@ -462,16 +461,12 @@ module Data = struct
     let geo = geometry t in
     let bs = geo.Layout.block_size in
     let base = block_addr t block in
-    if covered_start > 0 then begin
-      let zeros = Bytes.make covered_start '\000' in
-      Device.write_nt ~background (device t) ~cat ~addr:base ~src:zeros ~off:0
-        ~len:covered_start
-    end;
-    if covered_end < bs then begin
-      let zeros = Bytes.make (bs - covered_end) '\000' in
+    if covered_start > 0 then
+      Device.write_nt ~background (device t) ~cat ~addr:base
+        ~src:Device.zeros ~off:0 ~len:covered_start;
+    if covered_end < bs then
       Device.write_nt ~background (device t) ~cat ~addr:(base + covered_end)
-        ~src:zeros ~off:0 ~len:(bs - covered_end)
-    end
+        ~src:Device.zeros ~off:0 ~len:(bs - covered_end)
 end
 
 (* --- file read/write --- *)
@@ -612,10 +607,9 @@ let truncate t ~ino ~size =
             match Data.lookup_block t ~ino ~fblock:(size / bs) with
             | None -> ()
             | Some block ->
-              let zeros = Bytes.make (bs - tail) '\000' in
               Device.write_nt device ~cat:Stats.Other
                 ~addr:(Data.block_addr t block + tail)
-                ~src:zeros ~off:0 ~len:(bs - tail)
+                ~src:Device.zeros ~off:0 ~len:(bs - tail)
           end
         end;
         Data.update_size t txn ~ino ~size;

@@ -300,7 +300,8 @@ let run_soak () =
             r_ops_ok = !ops_ok - ok0;
             r_aborted = !aborted - aborted0;
             r_capture_fence = capture_fence;
-            r_image_digest = Digest.to_hex (Digest.bytes image);
+            r_image_digest =
+              Digest.to_hex (Digest.bytes (Testkit.image_bytes ~config image));
           }
           :: !round_outcomes
       done;

@@ -77,7 +77,9 @@ let test_capture_basic () =
       let images =
         List.map
           (fun vec ->
-            Bytes.to_string (Device.materialize_crash_image state ~choice:vec))
+            Bytes.to_string
+              (Testkit.image_bytes
+                 (Device.materialize_crash_image state ~choice:vec)))
           (choice_vectors state)
       in
       check_int "four images" 4 (List.length images);
@@ -104,7 +106,7 @@ let test_fence_collapses () =
       let state = Device.capture_crash_state d in
       check_int "no choices" 0 (List.length state.Device.cs_choices);
       check_bool "medium has the data" true
-        (Bytes.get state.Device.cs_image addr_a = '\x33'))
+        (Bytes.get (Testkit.image_bytes state.Device.cs_image) addr_a = '\x33'))
 
 let test_unfenced_flush_undecided () =
   Testkit.run_sim (fun engine ->

@@ -387,6 +387,261 @@ let allocator_no_double_alloc_prop =
         ops;
       Allocator.used_blocks a = Hashtbl.length held)
 
+(* --- chunked medium against a flat model ---
+
+   Random sequences of stores, flushes, fences, crashes, snapshots, mounts
+   of images and crash images on a device of 4 to 8 64 KB chunks, every
+   load checked against flat [Bytes]. A device is modelled by its coherent
+   view (what [peek] sees) and its medium (what [peek_persistent] and a
+   crash see); an image by its bytes. Addresses cluster around chunk
+   boundaries, so ranges straddle them, and most chunks are never
+   written. Images are checked at the end, after every later store to the
+   device they came from and to the devices built on them. *)
+
+let chunk = 65536
+
+type store = Cached | Nt | Poke | Poke_flushed
+
+type medium_op =
+  | Store of store * int * int * int * int (* device, addr, len, fill seed *)
+  | Flush of int * int * int (* device, addr, len *)
+  | Fence of int
+  | Crash of int
+  | Record of int
+  | Snapshot of int
+  | Mount of int (* image *)
+  | Materialize of int * int (* device, choice seed *)
+  | Load of int * int * int (* device, addr, len *)
+
+let pp_medium_op ppf = function
+  | Store (k, i, a, l, s) ->
+    Fmt.pf ppf "%s d%d %d+%d #%d"
+      (match k with
+      | Cached -> "cached"
+      | Nt -> "nt"
+      | Poke -> "poke"
+      | Poke_flushed -> "poke_flushed")
+      i a l s
+  | Flush (i, a, l) -> Fmt.pf ppf "clflush d%d %d+%d" i a l
+  | Fence i -> Fmt.pf ppf "mfence d%d" i
+  | Crash i -> Fmt.pf ppf "crash d%d" i
+  | Record i -> Fmt.pf ppf "record d%d" i
+  | Snapshot i -> Fmt.pf ppf "snapshot d%d" i
+  | Mount j -> Fmt.pf ppf "of_snapshot i%d" j
+  | Materialize (i, s) -> Fmt.pf ppf "materialize d%d #%d" i s
+  | Load (i, a, l) -> Fmt.pf ppf "load d%d %d+%d" i a l
+
+let medium_case_gen =
+  let open QCheck.Gen in
+  let dev = int_bound 5 in
+  let addr =
+    oneof
+      [
+        map2 (fun c d -> (c * chunk) + d) (int_bound 8) (int_range (-96) 96);
+        int_bound (8 * chunk);
+      ]
+  in
+  let len = frequency [ (8, int_bound 200); (1, int_range 1 (chunk + 200)) ] in
+  let store k = map4 (fun i a l s -> Store (k, i, a, l, s)) dev addr len nat in
+  let op =
+    frequency
+      [
+        (4, store Cached);
+        (2, store Nt);
+        (1, store Poke);
+        (1, store Poke_flushed);
+        (2, map3 (fun i a l -> Flush (i, a, l)) dev addr len);
+        (1, map (fun i -> Fence i) dev);
+        (1, map (fun i -> Crash i) dev);
+        (1, map (fun i -> Record i) dev);
+        (2, map (fun i -> Snapshot i) dev);
+        (2, map (fun j -> Mount j) nat);
+        (2, map2 (fun i s -> Materialize (i, s)) dev nat);
+        (6, map3 (fun i a l -> Load (i, a, l)) dev addr len);
+      ]
+  in
+  triple (int_bound 4) (int_bound 3) (list_size (int_range 1 60) op)
+
+type modelled = { d : Device.t; view : Bytes.t; medium : Bytes.t }
+
+(* Run one case; returns the mismatches found, newest first. *)
+let run_medium_case (extra, trim, ops) =
+  let size = ((4 + extra) * chunk) - (trim * 4096) in
+  let config = { Config.default with Config.nvmm_size = size } in
+  let ls = config.Config.cacheline_size in
+  let errors = ref [] in
+  let check what ok = if not ok then errors := what :: !errors in
+  let fit addr len =
+    let len = min len size in
+    (max 0 (min addr (size - len)), len)
+  in
+  let devs, images =
+    Testkit.run_sim (fun engine ->
+        let stats = Stats.create () in
+        let devs =
+          ref
+            [
+              {
+                d = Device.create engine stats config;
+                view = Bytes.make size '\000';
+                medium = Bytes.make size '\000';
+              };
+            ]
+        and images = ref [] in
+        let dev i = List.nth !devs (i mod List.length !devs) in
+        List.iteri
+          (fun step op ->
+            let what msg =
+              Fmt.str "step %d (%a): %s" step pp_medium_op op msg
+            in
+            match op with
+            | Store (kind, i, addr, len, seed) ->
+              let m = dev i and addr, len = fit addr len in
+              let src = Testkit.pattern_bytes ~seed len in
+              (match kind with
+              | Cached -> Device.write_cached m.d ~cat ~addr ~src ~off:0 ~len
+              | Nt -> Device.write_nt m.d ~cat ~addr ~src ~off:0 ~len
+              | Poke -> Device.poke m.d ~addr ~src ~off:0 ~len
+              | Poke_flushed -> Device.poke_flushed m.d ~addr ~src ~off:0 ~len);
+              Bytes.blit src 0 m.view addr len;
+              if kind <> Cached then Bytes.blit src 0 m.medium addr len
+            | Flush (i, addr, len) ->
+              let m = dev i and addr, len = fit addr len in
+              Device.clflush m.d ~cat ~addr ~len;
+              if len > 0 then begin
+                let first = addr / ls * ls in
+                let stop = ((addr + len - 1) / ls + 1) * ls in
+                Bytes.blit m.view first m.medium first (stop - first)
+              end
+            | Fence i -> Device.mfence (dev i).d ~cat
+            | Crash i ->
+              let m = dev i in
+              Device.crash m.d;
+              Bytes.blit m.medium 0 m.view 0 size
+            | Record i ->
+              let m = dev i in
+              Device.enable_recording m.d;
+              Bytes.blit m.view 0 m.medium 0 size
+            | Snapshot i ->
+              let m = dev i in
+              images := (Device.snapshot m.d, Bytes.copy m.medium) :: !images
+            | Mount j -> (
+              match !images with
+              | [] -> ()
+              | l ->
+                let img, b = List.nth l (j mod List.length l) in
+                devs :=
+                  !devs
+                  @ [
+                      {
+                        d = Device.of_snapshot engine stats config img;
+                        view = Bytes.copy b;
+                        medium = Bytes.copy b;
+                      };
+                    ])
+            | Materialize (i, seed) ->
+              let m = dev i in
+              let state = Device.capture_crash_state m.d in
+              if not (Device.recording m.d) then begin
+                (* Unrecorded, the undecided lines are exactly those the
+                   cache holds with new content: medium or cached. *)
+                let line b idx = Bytes.sub b (idx * ls) ls in
+                let differs idx =
+                  not (Bytes.equal (line m.view idx) (line m.medium idx))
+                in
+                List.iter
+                  (fun (idx, cands) ->
+                    check (what (Fmt.str "line %d candidates" idx))
+                      (differs idx
+                      && Array.length cands = 2
+                      && Bytes.equal cands.(0) (line m.medium idx)
+                      && Bytes.equal cands.(1) (line m.view idx)))
+                  state.Device.cs_choices;
+                let changed =
+                  List.filter differs (List.init (size / ls) Fun.id)
+                in
+                check (what "every changed line undecided")
+                  (List.length state.Device.cs_choices = List.length changed)
+              end;
+              let rng = Rng.create ~seed:(Int64.of_int seed) in
+              let choice =
+                Array.of_list
+                  (List.map
+                     (fun (_, c) -> Rng.int rng (Array.length c))
+                     state.Device.cs_choices)
+              in
+              let expect = Bytes.copy m.medium in
+              List.iteri
+                (fun k (idx, cands) ->
+                  Bytes.blit cands.(choice.(k)) 0 expect (idx * ls) ls)
+                state.Device.cs_choices;
+              images :=
+                (Device.materialize_crash_image state ~choice, expect)
+                :: (state.Device.cs_image, Bytes.copy m.medium)
+                :: !images
+            | Load (i, addr, len) ->
+              let m = dev i and addr, len = fit addr len in
+              let view = Bytes.sub m.view addr len in
+              check (what "read")
+                (Bytes.equal view (Device.read_alloc m.d ~cat ~addr ~len));
+              check (what "peek")
+                (Bytes.equal view (Device.peek m.d ~addr ~len));
+              check (what "peek_persistent")
+                (Bytes.equal (Bytes.sub m.medium addr len)
+                   (Device.peek_persistent m.d ~addr ~len));
+              check (what "equal_string")
+                (Device.equal_string m.d ~addr (Bytes.to_string view));
+              if len > 0 then begin
+                let off = Bytes.copy view in
+                let last = Char.code (Bytes.get off (len - 1)) in
+                Bytes.set off (len - 1) (Char.chr ((last + 1) land 255));
+                check (what "equal_string, one byte off")
+                  (not (Device.equal_string m.d ~addr (Bytes.to_string off)))
+              end;
+              if addr + 8 <= size then
+                check (what "get_int")
+                  (Device.get_int m.d addr
+                  = Int64.to_int (Bytes.get_int64_le m.view addr)))
+          ops;
+        (!devs, !images))
+  in
+  List.iteri
+    (fun i m ->
+      check (Fmt.str "final view of d%d" i)
+        (Bytes.equal m.view (Device.peek m.d ~addr:0 ~len:size));
+      check (Fmt.str "final medium of d%d" i)
+        (Bytes.equal m.medium (Device.peek_persistent m.d ~addr:0 ~len:size)))
+    devs;
+  let images =
+    List.rev_map (fun (img, b) -> (img, b, Device.image_digest img)) images
+  in
+  List.iteri
+    (fun i (img, b, digest) ->
+      check (Fmt.str "image i%d" i)
+        (Bytes.equal b (Testkit.image_bytes ~config img));
+      List.iteri
+        (fun j (_, b', digest') ->
+          check (Fmt.str "digests of i%d and i%d" i j)
+            (digest = digest' = Bytes.equal b b'))
+        images)
+    images;
+  !errors
+
+let medium_model_prop =
+  QCheck.Test.make ~name:"chunked medium matches flat model" ~count:60
+    (QCheck.make
+       ~print:(fun (e, t, ops) ->
+         Fmt.str "+%d chunks -%d blocks: %a" e t
+           Fmt.(list ~sep:semi pp_medium_op)
+           ops)
+       ~shrink:QCheck.Shrink.(triple nil nil list)
+       medium_case_gen)
+    (fun case ->
+      match run_medium_case case with
+      | [] -> true
+      | errors ->
+        QCheck.Test.fail_reportf "%s" (String.concat "\n" (List.rev errors)))
+
 (* --- blockdev --- *)
 
 let test_blockdev_roundtrip () =
@@ -451,6 +706,7 @@ let () =
           Alcotest.test_case "mfence allocation budget" `Quick
             test_mfence_allocation_budget;
         ] );
+      ("medium", Testkit.qcheck_cases [ medium_model_prop ]);
       ( "timing",
         [
           Alcotest.test_case "nt write cost" `Quick test_write_nt_timing;

@@ -29,6 +29,13 @@ let make_device ?(config = small_config) ?stats engine =
   let stats = match stats with Some s -> s | None -> Stats.create () in
   Device.create engine stats config
 
+(* An image's bytes, flat, for tests that index or print a medium. *)
+let image_bytes ?(config = small_config) image =
+  let d =
+    Device.of_snapshot (Engine.create ()) (Stats.create ()) config image
+  in
+  Device.peek_persistent d ~addr:0 ~len:(Device.size d)
+
 (* Fresh PMFS on a fresh device, inside a running simulation. *)
 let make_pmfs ?config ?stats ?(sync_mount = false) engine =
   let device = make_device ?config ?stats engine in
@@ -146,13 +153,15 @@ module Soak = struct
       List.iter (Fmt.epr "%s FAIL: %s@." t.name) fs;
       exit 1
 
-  (* Run every crashmc scenario at [params], print the report, and hold it
-     to the acceptance bar: the given minimum coverage, zero violations on
-     the real code, every buggy fixture flagged (the checker is not
-     vacuous), and the same report from a second run. *)
+  (* Run every crashmc scenario at [params] (SOAK_SEED overrides its
+     seed), print the report, and hold it to the acceptance bar: the given
+     minimum coverage, zero violations on the real code, every buggy
+     fixture flagged (the checker is not vacuous), and the same report from
+     a second run. *)
   let crash_suite ?(min_images = 0) ?(min_recovery_states = 0)
       ~min_recovery_images name params =
-    let t = { name; seed = params.Crashmc.seed; failures = [] } in
+    let t = create ~default_seed:params.Crashmc.seed name in
+    let params = { params with Crashmc.seed = t.seed } in
     let report =
       deterministic t (fun () ->
           Crashmc.run_suite ~params Hinfs_crashmc.Scenarios.all)
