@@ -1053,6 +1053,35 @@ let micro () =
     Test.make ~name:"device.get_int"
       (Staged.stage (fun () -> ignore (Hinfs_nvmm.Device.get_int d 4096)))
   in
+  (* PMFS block placement on a 384 MB device's 98,304 blocks, first
+     fragmented by freeing one block in eight at random. A run frees two
+     random held blocks and allocates two: the second allocation searches
+     from the first freed block up to the next clear one. *)
+  let allocator_churn =
+    let module Allocator = Hinfs_nvmm.Allocator in
+    let blocks = 98_304 in
+    let a =
+      Allocator.create ~placement:Lowest_first ~first_block:0 ~count:blocks
+    in
+    let rng = Hinfs_sim.Rng.create ~seed:11L in
+    for b = 0 to blocks - 1 do
+      Allocator.mark_allocated a b
+    done;
+    for _ = 1 to blocks / 8 do
+      let b = Hinfs_sim.Rng.int rng blocks in
+      if Allocator.is_allocated a b then Allocator.free a b
+    done;
+    let rec free_held () =
+      let b = Hinfs_sim.Rng.int rng blocks in
+      if Allocator.is_allocated a b then Allocator.free a b else free_held ()
+    in
+    Test.make ~name:"allocator.lowest-first-churn"
+      (Staged.stage (fun () ->
+           free_held ();
+           free_held ();
+           ignore (Allocator.alloc a);
+           ignore (Allocator.alloc a)))
+  in
   (* A process performs [step] forever, advancing the clock [ns] per call;
      one run covers 1000 calls, so the cost of entering [Engine.run] is
      spread over them. *)
@@ -1153,6 +1182,7 @@ let micro () =
       clbitmap_runs;
       zipf_sample;
       device_get_int;
+      allocator_churn;
       proc_delay;
       device_mfence;
       dir_find;

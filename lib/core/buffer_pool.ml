@@ -3,7 +3,10 @@
    A fixed population of 4 KB DRAM blocks. Blocks in use are linked on the
    global LRW (Least Recently Written) list — front = least recently
    written, back = MRW — which the background writeback threads consume
-   from the front. Free blocks sit on a free list.
+   from the front. Free blocks sit on a free stack, so [alloc] hands out
+   the block freed last. A block gets its 4 KB of [data] when [alloc]
+   first binds it: the pool holds data only for its high-water mark of
+   blocks in use, not for its whole capacity.
 
    Each block carries its Cacheline Bitmaps:
    - [present]: lines with valid data in DRAM,
@@ -17,7 +20,7 @@ module Dlist = Hinfs_structures.Dlist
 
 type block = {
   id : int;
-  data : Bytes.t;
+  mutable data : Bytes.t; (* [no_data] until first bound *)
   node : int Dlist.node; (* membership in the LRW list (value = id) *)
   mutable ino : int;
   mutable fblock : int;
@@ -35,10 +38,12 @@ type t = {
   blocks : block array;
   block_size : int;
   lines_per_block : int;
-  free : int Queue.t;
+  free : int array; (* free stack: ids in [0, free_count), top last *)
   lrw : int Dlist.t;
   mutable free_count : int;
 }
+
+let no_data = Bytes.empty
 
 let create ~capacity ~block_size ~lines_per_block =
   if capacity <= 0 then invalid_arg "Buffer_pool.create: empty pool";
@@ -46,7 +51,7 @@ let create ~capacity ~block_size ~lines_per_block =
     Array.init capacity (fun id ->
         {
           id;
-          data = Bytes.create block_size;
+          data = no_data;
           node = Dlist.make_node id;
           ino = 0;
           fblock = 0;
@@ -60,13 +65,11 @@ let create ~capacity ~block_size ~lines_per_block =
           in_use = false;
         })
   in
-  let free = Queue.create () in
-  Array.iter (fun b -> Queue.add b.id free) blocks;
   {
     blocks;
     block_size;
     lines_per_block;
-    free;
+    free = Array.init capacity (fun k -> capacity - 1 - k);
     lrw = Dlist.create ();
     free_count = capacity;
   }
@@ -79,14 +82,14 @@ let lines_per_block t = t.lines_per_block
 
 let free_fraction t = float_of_int t.free_count /. float_of_int (capacity t)
 
-(* Take a free block and bind it to (ino, fblock, home). *)
+(* Pop the most recently freed block and bind it to (ino, fblock, home). *)
 let alloc t ~ino ~fblock ~home ~now =
-  match Queue.take_opt t.free with
-  | None -> None
-  | Some id ->
+  if t.free_count = 0 then None
+  else begin
     t.free_count <- t.free_count - 1;
-    let b = t.blocks.(id) in
+    let b = t.blocks.(t.free.(t.free_count)) in
     assert (not b.in_use);
+    if b.data == no_data then b.data <- Bytes.create t.block_size;
     b.ino <- ino;
     b.fblock <- fblock;
     b.home <- home;
@@ -99,13 +102,14 @@ let alloc t ~ino ~fblock ~home ~now =
     b.in_use <- true;
     Dlist.push_back t.lrw b.node;
     Some b
+  end
 
 let free t b =
   if not b.in_use then invalid_arg "Buffer_pool.free: block not in use";
   if b.pinned > 0 then invalid_arg "Buffer_pool.free: block pinned";
   b.in_use <- false;
   if Dlist.is_linked b.node then Dlist.remove t.lrw b.node;
-  Queue.add b.id t.free;
+  t.free.(t.free_count) <- b.id;
   t.free_count <- t.free_count + 1
 
 (* Record a write. Under LRW the block moves to the MRW end; under FIFO

@@ -1,6 +1,7 @@
 (** The DRAM write buffer pool (paper §3.2): a fixed population of 4 KB
-    DRAM blocks on a free list and a global LRW (Least Recently Written)
-    list. Each block carries its Cacheline Bitmaps:
+    DRAM blocks on a free stack and a global LRW (Least Recently Written)
+    list. A block's [data] is allocated when {!alloc} first binds it.
+    Each block carries its Cacheline Bitmaps:
 
     - [present]: lines holding valid data in DRAM;
     - [dirty]: lines awaiting writeback (subset of [present]);
@@ -9,7 +10,7 @@
 
 type block = {
   id : int;
-  data : Bytes.t;
+  mutable data : Bytes.t;  (** empty until the block is first bound *)
   node : int Hinfs_structures.Dlist.node;
   mutable ino : int;
   mutable fblock : int;
@@ -34,8 +35,8 @@ val block : t -> int -> block
 val lines_per_block : t -> int
 
 val alloc : t -> ino:int -> fblock:int -> home:int -> now:int -> block option
-(** Take a free block and bind it; [None] when the pool is exhausted (the
-    caller stalls on the writeback daemons). *)
+(** Take the most recently freed block and bind it; [None] when the pool
+    is exhausted (the caller stalls on the writeback daemons). *)
 
 val free : t -> block -> unit
 (** @raise Invalid_argument if the block is pinned or not in use. *)

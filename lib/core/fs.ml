@@ -144,15 +144,18 @@ let file_state t ino =
     Hashtbl.replace t.files ino fs;
     fs
 
+(* A block id found in a file's index or the LRW list may have been freed
+   and bound again since; act on it only while it holds what it did. *)
+let bound_to b ~ino ~fblock =
+  b.Buffer_pool.in_use && b.Buffer_pool.ino = ino
+  && b.Buffer_pool.fblock = fblock
+
 let buffered_block t fst fblock =
   match Btree.find fst.index fblock with
   | None -> None
   | Some id ->
     let b = Buffer_pool.block (spool t fst.f_ino) id in
-    if b.Buffer_pool.in_use && b.Buffer_pool.ino = fst.f_ino
-       && b.Buffer_pool.fblock = fblock
-    then Some b
-    else None
+    if bound_to b ~ino:fst.f_ino ~fblock then Some b else None
 
 (* --- timing helpers --- *)
 
@@ -397,20 +400,22 @@ let daemon_body t sh =
            last write is older than the age threshold. *)
         let cutoff = now t - t.hcfg.Hconfig.age_flush_ns in
         let stale =
-          List.filter
+          List.filter_map
             (fun id ->
               let b = Buffer_pool.block sh.pool id in
-              b.Buffer_pool.in_use
-              && (not (Clbitmap.is_empty b.Buffer_pool.dirty))
-              && b.Buffer_pool.last_written <= cutoff)
+              if
+                b.Buffer_pool.in_use
+                && (not (Clbitmap.is_empty b.Buffer_pool.dirty))
+                && b.Buffer_pool.last_written <= cutoff
+              then Some (b, b.Buffer_pool.ino, b.Buffer_pool.fblock)
+              else None)
             (Buffer_pool.lrw_ids sh.pool)
         in
         List.iter
-          (fun id ->
-            let b = Buffer_pool.block sh.pool id in
-            if b.Buffer_pool.in_use then begin
+          (fun (b, ino, fblock) ->
+            if bound_to b ~ino ~fblock then begin
               flush_block ~background:true t b ~evict:false;
-              try_commit t (file_state t b.Buffer_pool.ino)
+              try_commit t (file_state t ino)
             end)
           stale;
         loop ()
@@ -777,9 +782,13 @@ let fsync t ~ino =
 
 (* A writeback daemon may hold a pin on a block across its flush; freeing
    must wait it out (flushes are bounded, and the waiter holds no lock the
-   daemons need). *)
-let wait_unpinned b =
-  while b.Buffer_pool.pinned > 0 do
+   daemons need). The flush may evict the block, and the pool hands a freed
+   block out again at once: from then on its pins belong to another file,
+   so the wait ends when the block leaves [ino]. *)
+let wait_unpinned b ~ino =
+  while
+    b.Buffer_pool.in_use && b.Buffer_pool.ino = ino && b.Buffer_pool.pinned > 0
+  do
     Proc.delay_int 1_000
   done
 
@@ -798,7 +807,7 @@ let drop_buffers t ino =
       (fun id ->
         let b = Buffer_pool.block sh.pool id in
         if b.Buffer_pool.in_use && b.Buffer_pool.ino = ino then begin
-          wait_unpinned b;
+          wait_unpinned b ~ino;
           if b.Buffer_pool.in_use && b.Buffer_pool.ino = ino then begin
             if not (Clbitmap.is_empty b.Buffer_pool.dirty) then incr dropped;
             b.Buffer_pool.dirty <- Clbitmap.empty;
@@ -862,11 +871,9 @@ let truncate t ~ino ~size =
   List.iter
     (fun (fblock, id) ->
       let b = Buffer_pool.block pool id in
-      if b.Buffer_pool.in_use && b.Buffer_pool.ino = ino
-         && fblock >= keep_blocks
-      then begin
-        wait_unpinned b;
-        if b.Buffer_pool.in_use && b.Buffer_pool.ino = ino then begin
+      if fblock >= keep_blocks && bound_to b ~ino ~fblock then begin
+        wait_unpinned b ~ino;
+        if bound_to b ~ino ~fblock then begin
           if not (Clbitmap.is_empty b.Buffer_pool.dirty) then begin
             fst.dirty_blocks <- fst.dirty_blocks - 1;
             b.Buffer_pool.dirty <- Clbitmap.empty

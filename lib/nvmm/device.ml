@@ -75,11 +75,10 @@ end
    [capture_crash_state], [of_snapshot] and [materialize_crash_image] share
    chunks instead of copying the medium.
 
-   [create] allocates every chunk buffer up front but fills none: until its
-   first store a chunk reads from [zeros], and that store zero-fills the
-   buffer set aside for it. Untouched chunks never fault in their pages.
-   64 KB keeps the chunk count small (6,144 for 384 MB) while each fresh
-   buffer touches only its header page. *)
+   [create] allocates no chunk: every chunk starts shared with [zeros], so
+   its first store copies [zeros] like any other shared chunk. The host
+   holds only the chunks the model has written, 64 KB each (6,144 of them
+   would cover 384 MB). *)
 
 let chunk_bits = 16
 let chunk_size = 1 lsl chunk_bits
@@ -99,9 +98,7 @@ type t = {
   config : Config.t;
   chunks : Bytes.t array; (* chunk i holds [i * chunk_size, ...) *)
   mine : Bytes.t array;
-      (* chunk i's buffer that only this device holds: [chunks.(i)] itself
-         when ours; else the unfilled buffer [create] set aside, while
-         [chunks.(i)] is still [zeros]; else [no_buffer] *)
+      (* [chunks.(i)] when only this device holds it, else [no_buffer] *)
   overlay : (int, Bytes.t) Hashtbl.t; (* cacheline index -> line content *)
   dirty : Bytes.t; (* one bit per cacheline: set iff [overlay] holds it *)
   line_bits : int; (* log2 of the cacheline size, a power of two *)
@@ -129,7 +126,8 @@ module Obs = Hinfs_obs.Obs
 
 let rec log2 n = if n <= 1 then 0 else 1 + log2 (n lsr 1)
 
-let make engine stats config ~chunks ~mine =
+(* A device on [chunks], all shared until its first store to each. *)
+let make engine stats config ~chunks =
   let ls = config.Config.cacheline_size in
   if ls > chunk_size then invalid_arg "Device: cacheline larger than a chunk";
   let lines = (config.Config.nvmm_size + ls - 1) / ls in
@@ -138,7 +136,7 @@ let make engine stats config ~chunks ~mine =
     stats;
     config;
     chunks;
-    mine;
+    mine = Array.make (Array.length chunks) no_buffer;
     overlay = Hashtbl.create 4096;
     dirty = Bytes.make ((lines + 7) / 8) '\000';
     line_bits = log2 ls;
@@ -153,7 +151,6 @@ let create engine stats config =
   let config = Config.validate config in
   let n = (config.Config.nvmm_size + chunk_mask) lsr chunk_bits in
   make engine stats config ~chunks:(Array.make n zeros)
-    ~mine:(Array.init n (fun _ -> Bytes.create chunk_size))
 
 let config t = t.config
 let size t = t.config.Config.nvmm_size
@@ -171,17 +168,10 @@ let check_range t ~addr ~len =
 
 (* --- medium access --- *)
 
-(* Chunk [i], made ours to write in place: the first store zero-fills the
-   buffer [create] set aside, or copies a shared chunk. *)
+(* Chunk [i], made ours to write in place: its first store copies the
+   shared chunk, [zeros] included. *)
 let own_chunk t i =
-  let b = t.mine.(i) in
-  let c =
-    if b == no_buffer then Bytes.copy t.chunks.(i)
-    else begin
-      Bytes.fill b 0 chunk_size '\000';
-      b
-    end
-  in
+  let c = Bytes.copy t.chunks.(i) in
   t.chunks.(i) <- c;
   t.mine.(i) <- c;
   c
@@ -778,7 +768,6 @@ let of_snapshot engine stats config image =
   if image.im_size <> config.Config.nvmm_size then
     invalid_arg "Device.of_snapshot: image size mismatch";
   make engine stats config ~chunks:(Array.copy image.im_chunks)
-    ~mine:(Array.make (Array.length image.im_chunks) no_buffer)
 
 (* Content key: equal iff the images hold the same bytes. *)
 let image_digest image =

@@ -7,9 +7,9 @@
     virtual time and must be called from inside a simulation process; every
     cacheline streamed to the medium holds one of the N_w bandwidth slots.
 
-    The medium is stored as fixed 64 KB chunks. A chunk reads as zeros
-    until its first store, and chunks are shared copy-on-write between a
-    device and the {!image}s taken of it. *)
+    The medium is stored as fixed 64 KB chunks. A chunk reads as zeros,
+    and takes no host memory, until its first store. Chunks are shared
+    copy-on-write between a device and the {!image}s taken of it. *)
 
 type t
 

@@ -48,19 +48,22 @@ let clear_all t =
   Bytes.fill t.bits 0 (Bytes.length t.bits) '\000';
   t.set_count <- 0
 
-(* First clear bit at or after [from], scanning whole bytes when possible. *)
+(* First clear bit at or after [from], scanning whole 64-bit words and
+   whole bytes when possible. *)
 let find_first_clear ?(from = 0) t =
   if from < 0 then invalid_arg "Bitmap.find_first_clear: negative start";
   let rec scan i =
     if i >= t.length then None
-    else if i land 7 = 0 && i + 8 <= t.length then
-      if Bytes.get t.bits (i lsr 3) = '\255' then scan (i + 8)
-      else scan_bits i
-    else scan_bits i
-  and scan_bits i =
-    if i >= t.length then None
+    else if
+      i land 63 = 0
+      && i + 64 <= t.length
+      && Int64.equal (Bytes.get_int64_ne t.bits (i lsr 3)) (-1L)
+    then scan (i + 64)
+    else if
+      i land 7 = 0 && i + 8 <= t.length && Bytes.get t.bits (i lsr 3) = '\255'
+    then scan (i + 8)
     else if not (get t i) then Some i
-    else scan_bits (i + 1)
+    else scan (i + 1)
   in
   scan from
 
@@ -78,23 +81,6 @@ let find_first_set ?(from = 0) t =
     else scan_bits (i + 1)
   in
   scan from
-
-(* Find [count] consecutive clear bits; returns the start index. *)
-let find_clear_run ?(from = 0) t ~count =
-  if count <= 0 then invalid_arg "Bitmap.find_clear_run: count must be > 0";
-  let rec outer i =
-    match find_first_clear ~from:i t with
-    | None -> None
-    | Some start ->
-      let rec extend j =
-        if j - start = count then Some start
-        else if j >= t.length then None
-        else if get t j then outer (j + 1)
-        else extend (j + 1)
-      in
-      extend start
-  in
-  outer from
 
 let iter_set t f =
   for i = 0 to t.length - 1 do

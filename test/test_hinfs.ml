@@ -823,6 +823,70 @@ let hinfs_crash_prop =
             synced_at_crash;
           !ok))
 
+(* --- buffer pool --- *)
+
+module Buffer_pool = Hinfs.Buffer_pool
+
+let make_pool n =
+  Buffer_pool.create ~capacity:n ~block_size:4096 ~lines_per_block:64
+
+let bind pool fblock =
+  Option.get (Buffer_pool.alloc pool ~ino:1 ~fblock ~home:fblock ~now:0)
+
+let test_pool_fresh_holds_no_data () =
+  let n = 64 in
+  let pool = make_pool n in
+  for id = 0 to n - 1 do
+    check_int "unbound block has no data" 0
+      (Bytes.length (Buffer_pool.block pool id).Buffer_pool.data)
+  done
+
+let test_pool_reuses_last_freed () =
+  let pool = make_pool 8 in
+  let bs = List.init 5 (bind pool) in
+  let b2 = List.nth bs 2 in
+  Buffer_pool.free pool b2;
+  let again = bind pool 9 in
+  check_int "freed block comes back first" b2.Buffer_pool.id
+    again.Buffer_pool.id;
+  Buffer_pool.free pool (List.nth bs 0);
+  Buffer_pool.free pool (List.nth bs 4);
+  check_int "last freed first" (List.nth bs 4).Buffer_pool.id
+    (bind pool 10).Buffer_pool.id;
+  check_int "then the one before" (List.nth bs 0).Buffer_pool.id
+    (bind pool 11).Buffer_pool.id
+
+let test_pool_bound_blocks_have_data () =
+  let n = 16 in
+  let pool = make_pool n in
+  let bs = List.init n (bind pool) in
+  Alcotest.(check (option int)) "pool exhausted" None
+    (Option.map
+       (fun b -> b.Buffer_pool.id)
+       (Buffer_pool.alloc pool ~ino:1 ~fblock:99 ~home:99 ~now:0));
+  List.iter
+    (fun b ->
+      check_int "bound block holds a whole block" 4096
+        (Bytes.length b.Buffer_pool.data))
+    bs;
+  let datas = List.map (fun b -> b.Buffer_pool.data) bs in
+  check_bool "no two blocks share a buffer" true
+    (List.for_all
+       (fun d -> List.length (List.filter (fun d' -> d' == d) datas) = 1)
+       datas)
+
+let test_pool_data_survives_other_rebind () =
+  let pool = make_pool 4 in
+  let keep = bind pool 0 and other = bind pool 1 in
+  let pattern = Testkit.pattern_bytes ~seed:17 4096 in
+  Bytes.blit pattern 0 keep.Buffer_pool.data 0 4096;
+  Bytes.fill other.Buffer_pool.data 0 4096 'o';
+  Buffer_pool.free pool other;
+  let fresh = bind pool 2 and unused = bind pool 3 in
+  Bytes.fill fresh.Buffer_pool.data 0 4096 'f';
+  Bytes.fill unused.Buffer_pool.data 0 4096 'u';
+  Testkit.check_bytes "kept block's data" pattern keep.Buffer_pool.data
+
 let () =
   Alcotest.run "hinfs"
     [
@@ -832,6 +896,17 @@ let () =
           Alcotest.test_case "boundary partials" `Quick
             test_clbitmap_boundary_partials;
           Alcotest.test_case "runs" `Quick test_clbitmap_runs;
+        ] );
+      ( "buffer pool",
+        [
+          Alcotest.test_case "fresh pool holds no data" `Quick
+            test_pool_fresh_holds_no_data;
+          Alcotest.test_case "reuses the last freed block" `Quick
+            test_pool_reuses_last_freed;
+          Alcotest.test_case "bound blocks hold data" `Quick
+            test_pool_bound_blocks_have_data;
+          Alcotest.test_case "data survives another block's rebind" `Quick
+            test_pool_data_survives_other_rebind;
         ] );
       ( "buffering",
         [

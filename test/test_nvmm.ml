@@ -271,6 +271,23 @@ let test_mfence_allocation_budget () =
         (Fmt.str "%.1f words per mfence <= 10" per_call)
         true (per_call <= 10.0))
 
+(* [create] allocates the chunk tables and the dirty-line bitmap (768 KB
+   at 384 MB), but no chunk: the medium takes host memory only where it is
+   written. The count starts after a full major cycle; a cycle still in
+   progress inflates the count of the large blocks allocated during it. *)
+let test_fresh_device_holds_no_medium () =
+  let config = Hinfs_harness.Experiment.(config_of default_spec) in
+  let engine = Engine.create () and stats = Stats.create () in
+  Gc.full_major ();
+  let b0 = Gc.allocated_bytes () in
+  let d = Device.create engine stats config in
+  let allocated = Gc.allocated_bytes () -. b0 in
+  check_int "384 MB medium" (384 * 1024 * 1024) (Device.size d);
+  check_bool
+    (Fmt.str "%.0f bytes allocated < 1 MB" allocated)
+    true
+    (allocated < 1024. *. 1024.)
+
 (* --- timing --- *)
 
 let test_write_nt_timing () =
@@ -333,7 +350,7 @@ let test_bounds_checking () =
 (* --- allocator --- *)
 
 let test_allocator_basic () =
-  let a = Allocator.create ~first_block:10 ~count:5 in
+  let a = Allocator.create ~placement:Lowest_first ~first_block:10 ~count:5 in
   check_int "free" 5 (Allocator.free_blocks a);
   let b1 = Option.get (Allocator.alloc a) in
   check_int "first block" 10 b1;
@@ -343,31 +360,39 @@ let test_allocator_basic () =
   Allocator.free a 12;
   Alcotest.(check (option int)) "reuses freed" (Some 12) (Allocator.alloc a)
 
+(* A freed block comes back at once under lowest-first placement, and only
+   after the sweep has passed the rest of the region under next-fit. *)
+let test_allocator_placement () =
+  let after_free placement =
+    let a = Allocator.create ~placement ~first_block:0 ~count:8 in
+    for _ = 1 to 4 do
+      ignore (Allocator.alloc a)
+    done;
+    Allocator.free a 1;
+    List.init 5 (fun _ -> Option.get (Allocator.alloc a))
+  in
+  Alcotest.(check (list int)) "lowest first" [ 1; 4; 5; 6; 7 ]
+    (after_free Lowest_first);
+  Alcotest.(check (list int)) "next fit" [ 4; 5; 6; 7; 1 ]
+    (after_free Next_fit)
+
 let test_allocator_double_free () =
-  let a = Allocator.create ~first_block:0 ~count:4 in
+  let a = Allocator.create ~placement:Lowest_first ~first_block:0 ~count:4 in
   let b = Option.get (Allocator.alloc a) in
   Allocator.free a b;
   Alcotest.check_raises "double free"
     (Invalid_argument "Allocator.free: double free") (fun () ->
       Allocator.free a b)
 
-let test_allocator_contiguous () =
-  let a = Allocator.create ~first_block:0 ~count:10 in
-  let b = Option.get (Allocator.alloc_contiguous a 4) in
-  check_int "run start" 0 b;
-  (* Fragment: free 1,2 but not 0,3 *)
-  Allocator.free a 1;
-  Allocator.free a 2;
-  let c = Option.get (Allocator.alloc_contiguous a 3) in
-  check_int "skips fragmented space" 4 c;
-  Alcotest.(check (option int)) "too big" None (Allocator.alloc_contiguous a 8)
-
 let allocator_no_double_alloc_prop =
   QCheck.Test.make ~name:"allocator never double-allocates" ~count:100
-    QCheck.(list (option (int_bound 49)))
-    (fun ops ->
+    QCheck.(pair bool (list (option (int_bound 49))))
+    (fun (lowest, ops) ->
       (* Some x = try to free block x if held; None = alloc. *)
-      let a = Allocator.create ~first_block:0 ~count:50 in
+      let placement : Allocator.placement =
+        if lowest then Lowest_first else Next_fit
+      in
+      let a = Allocator.create ~placement ~first_block:0 ~count:50 in
       let held = Hashtbl.create 16 in
       List.iter
         (fun op ->
@@ -386,6 +411,68 @@ let allocator_no_double_alloc_prop =
             end)
         ops;
       Allocator.used_blocks a = Hashtbl.length held)
+
+(* Lowest-first placement against a bit-array model: every [alloc] returns
+   the smallest clear block, whatever mix of frees, recovery marks and
+   resets came before. *)
+type alloc_op = Alloc | Free of int | Mark of int | Reset
+
+let alloc_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, return Alloc);
+        (4, map (fun b -> Free b) (int_bound 39));
+        (1, map (fun b -> Mark b) (int_bound 39));
+        (1, return Reset);
+      ])
+
+let show_alloc_op = function
+  | Alloc -> "alloc"
+  | Free b -> Printf.sprintf "free %d" b
+  | Mark b -> Printf.sprintf "mark %d" b
+  | Reset -> "reset"
+
+let allocator_lowest_first_prop =
+  QCheck.Test.make ~name:"lowest-first takes the smallest clear block"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list show_alloc_op)
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 0 200) alloc_op_gen))
+    (fun ops ->
+      let first = 7 and count = 40 in
+      let a =
+        Allocator.create ~placement:Lowest_first ~first_block:first ~count
+      in
+      let used = Array.make count false in
+      List.iter
+        (function
+          | Alloc ->
+            let rec lowest i =
+              if i = count then None
+              else if used.(i) then lowest (i + 1)
+              else Some (first + i)
+            in
+            let want = lowest 0 and got = Allocator.alloc a in
+            if got <> want then
+              QCheck.Test.fail_reportf "alloc gave %s, lowest clear is %s"
+                (Option.fold ~none:"none" ~some:string_of_int got)
+                (Option.fold ~none:"none" ~some:string_of_int want);
+            Option.iter (fun b -> used.(b - first) <- true) got
+          | Free i ->
+            if used.(i) then begin
+              Allocator.free a (first + i);
+              used.(i) <- false
+            end
+          | Mark i ->
+            Allocator.mark_allocated a (first + i);
+            used.(i) <- true
+          | Reset ->
+            Allocator.reset a;
+            Array.fill used 0 count false)
+        ops;
+      true)
 
 (* --- chunked medium against a flat model ---
 
@@ -705,6 +792,8 @@ let () =
             test_stats_counters_do_not_allocate;
           Alcotest.test_case "mfence allocation budget" `Quick
             test_mfence_allocation_budget;
+          Alcotest.test_case "fresh device holds no medium" `Quick
+            test_fresh_device_holds_no_medium;
         ] );
       ("medium", Testkit.qcheck_cases [ medium_model_prop ]);
       ( "timing",
@@ -719,10 +808,11 @@ let () =
       ( "allocator",
         [
           Alcotest.test_case "basic" `Quick test_allocator_basic;
+          Alcotest.test_case "placement" `Quick test_allocator_placement;
           Alcotest.test_case "double free" `Quick test_allocator_double_free;
-          Alcotest.test_case "contiguous" `Quick test_allocator_contiguous;
         ]
-        @ Testkit.qcheck_cases [ allocator_no_double_alloc_prop ] );
+        @ Testkit.qcheck_cases
+            [ allocator_no_double_alloc_prop; allocator_lowest_first_prop ] );
       ( "blockdev",
         [
           Alcotest.test_case "round trip" `Quick test_blockdev_roundtrip;

@@ -38,11 +38,8 @@ let test_bitmap_find () =
   Alcotest.(check (option int)) "first set from 8" (Some 8)
     (Bitmap.find_first_set ~from:8 b);
   Bitmap.set b 20;
-  Alcotest.(check (option int))
-    "clear run of 4 skips bit 20" (Some 21)
-    (Bitmap.find_clear_run ~from:16 b ~count:5);
-  Alcotest.(check (option int)) "run too long" None
-    (Bitmap.find_clear_run b ~count:20)
+  Alcotest.(check (option int)) "first clear from a set bit" (Some 21)
+    (Bitmap.find_first_clear ~from:20 b)
 
 let test_bitmap_full_scan () =
   let b = Bitmap.create 17 in
@@ -73,6 +70,31 @@ let bitmap_model_prop =
         if Bitmap.get b i <> Hashtbl.mem model i then ok := false
       done;
       !ok)
+
+(* A mostly full bitmap, so whole words and bytes are skipped: the first
+   clear bit from every start matches a scan of the model. *)
+let bitmap_first_clear_prop =
+  QCheck.Test.make ~name:"find_first_clear matches model" ~count:300
+    QCheck.(pair (int_range 1 300) (list_of_size Gen.(0 -- 6) (int_bound 299)))
+    (fun (n, holes) ->
+      let b = Bitmap.create n in
+      let model = Array.make n true in
+      for i = 0 to n - 1 do
+        Bitmap.set b i
+      done;
+      List.iter
+        (fun i ->
+          if i < n then begin
+            Bitmap.clear b i;
+            model.(i) <- false
+          end)
+        holes;
+      let rec first i =
+        if i >= n then None else if model.(i) then first (i + 1) else Some i
+      in
+      List.for_all
+        (fun from -> Bitmap.find_first_clear ~from b = first from)
+        (List.init (n + 2) Fun.id))
 
 (* --- dlist --- *)
 
@@ -297,7 +319,7 @@ let () =
           Alcotest.test_case "find" `Quick test_bitmap_find;
           Alcotest.test_case "full scan" `Quick test_bitmap_full_scan;
         ]
-        @ Testkit.qcheck_cases [ bitmap_model_prop ] );
+        @ Testkit.qcheck_cases [ bitmap_model_prop; bitmap_first_clear_prop ] );
       ( "dlist",
         [
           Alcotest.test_case "push/pop" `Quick test_dlist_push_pop;
